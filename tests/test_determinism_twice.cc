@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -70,6 +71,40 @@ CapturedRun run_captured(const chaos::RunSpec& spec) {
   return captured;
 }
 
+// Absolute fingerprints per (case, protocol), recorded when the pins were
+// taken. Two runs agreeing only proves determinism within one build; these
+// catch a change that deterministically alters every run alike (a refactor
+// that reorders sends, say). A moved pin is a behaviour change to explain,
+// never a value to re-record silently.
+std::string pinned_fingerprint(const std::string& test_case,
+                               const std::string& protocol) {
+  static const std::map<std::pair<std::string, std::string>, std::string>
+      kPins{
+          {{"SecondRun", "chtread"}, "b1ae47159efd409b"},
+          {{"SecondRun", "raft"}, "f2d0149697f30dc8"},
+          {{"SecondRun", "raft-lease"}, "6e0289fe1f04f15e"},
+          {{"SecondRun", "vr"}, "c6796f4b637b1ba2"},
+          {{"RestartHeavy", "chtread"}, "3fe8f3997fb4a50b"},
+          {{"RestartHeavy", "raft"}, "e8261d4084daec92"},
+          {{"RestartHeavy", "raft-lease"}, "5cd1f55862647074"},
+          {{"RestartHeavy", "vr"}, "024049590d4a72d1"},
+          {{"CrashLoop", "chtread"}, "a8729536dc80a413"},
+          {{"CrashLoop", "raft"}, "94c297a31e9aff12"},
+          {{"CrashLoop", "raft-lease"}, "ee805192741e0a3c"},
+          {{"CrashLoop", "vr"}, "b629376c40fc0567"},
+          {{"ClockStormGuardOn", "chtread"}, "a5a830208f136e4f"},
+          {{"ClockStormGuardOn", "raft"}, "c8fa66c23ee3fc4f"},
+          {{"ClockStormGuardOn", "raft-lease"}, "f95eb2fcbe2c3687"},
+          {{"ClockStormGuardOn", "vr"}, "f5be9b4350982fda"},
+          {{"LegacyDirectSubmit", "chtread"}, "61111503edf59f04"},
+          {{"LegacyDirectSubmit", "raft"}, "f29e05e7d2641c20"},
+          {{"LegacyDirectSubmit", "raft-lease"}, "3fc1f9e7ee91f4bb"},
+          {{"LegacyDirectSubmit", "vr"}, "4c7ecf5a3f4aab80"},
+      };
+  const auto it = kPins.find({test_case, protocol});
+  return it == kPins.end() ? "<unpinned>" : it->second;
+}
+
 class DeterminismTwiceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DeterminismTwiceTest, SecondRunIsByteIdentical) {
@@ -84,6 +119,8 @@ TEST_P(DeterminismTwiceTest, SecondRunIsByteIdentical) {
   const CapturedRun second = run_captured(spec);
 
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
+  EXPECT_EQ(first.result.fingerprint,
+            pinned_fingerprint("SecondRun", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.quiesced, second.result.quiesced);
   EXPECT_EQ(first.result.checker_decided, second.result.checker_decided);
@@ -121,6 +158,8 @@ TEST_P(DeterminismTwiceTest, RestartHeavyRunIsByteIdentical) {
   const CapturedRun second = run_captured(spec);
 
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
+  EXPECT_EQ(first.result.fingerprint,
+            pinned_fingerprint("RestartHeavy", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.crashes, second.result.crashes);
   EXPECT_EQ(first.result.restarts, second.result.restarts);
@@ -153,6 +192,8 @@ TEST_P(DeterminismTwiceTest, CrashLoopRunIsByteIdentical) {
   const CapturedRun second = run_captured(spec);
 
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
+  EXPECT_EQ(first.result.fingerprint,
+            pinned_fingerprint("CrashLoop", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.crashes, second.result.crashes);
   EXPECT_EQ(first.result.restarts, second.result.restarts);
@@ -187,6 +228,8 @@ TEST_P(DeterminismTwiceTest, ClockStormGuardOnRunIsByteIdentical) {
   const CapturedRun second = run_captured(spec);
 
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
+  EXPECT_EQ(first.result.fingerprint,
+            pinned_fingerprint("ClockStormGuardOn", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.reads_excused, second.result.reads_excused);
   EXPECT_EQ(first.result.nemesis_schedule, second.result.nemesis_schedule);
@@ -218,6 +261,8 @@ TEST_P(DeterminismTwiceTest, LegacyDirectSubmitRunIsByteIdentical) {
   const CapturedRun second = run_captured(spec);
 
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
+  EXPECT_EQ(first.result.fingerprint,
+            pinned_fingerprint("LegacyDirectSubmit", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.nemesis_schedule, second.result.nemesis_schedule);
   EXPECT_EQ(first.result.history, second.result.history);
