@@ -31,14 +31,15 @@ struct BlockingResult {
 BlockingResult run(ExperimentResult& result, Duration delta, Duration write_gap,
                    bool conflicting, std::uint64_t seed,
                    const std::string& observe_label = "") {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = delta;
-  harness::Cluster cluster(config, std::make_shared<object::KVObject>());
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::KVObject>());
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
 
   struct ReadCounts {
     std::int64_t completed;

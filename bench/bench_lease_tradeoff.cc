@@ -45,15 +45,15 @@ TradeoffResult run(ExperimentResult& result, std::int64_t lease_multiple,
 
   // (a) one-time write delay after a leaseholder crash.
   {
-    harness::ClusterConfig config;
+    harness::CommonConfig config;
     config.n = 5;
     config.seed = seed;
     config.delta = kDelta;
-    harness::Cluster cluster(config, std::make_shared<object::RegisterObject>(),
-                             overrides);
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>(), overrides);
+    cluster.await_leader(Duration::seconds(5));
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     cluster.sim().crash(ProcessId((leader + 1) % cluster.n()));
     const RealTime t0 = cluster.sim().now();
     cluster.submit((leader + 2) % cluster.n(),
@@ -68,21 +68,21 @@ TradeoffResult run(ExperimentResult& result, std::int64_t lease_multiple,
         cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant) -
         before);
     const std::string label = "lease-" + std::to_string(lease_multiple) + "x";
-    result.config(label, cluster.config(), cluster.overrides());
+    result.config(label, cluster);
     result.observe(label, cluster);
   }
 
   // (b) read stall around a leader crash.
   {
-    harness::ClusterConfig config;
+    harness::CommonConfig config;
     config.n = 5;
     config.seed = seed + 1;
     config.delta = kDelta;
-    harness::Cluster cluster(config, std::make_shared<object::RegisterObject>(),
-                             overrides);
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>(), overrides);
+    cluster.await_leader(Duration::seconds(5));
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     cluster.sim().crash(ProcessId(leader));
     // Hammer reads at one follower until well after recovery; the max block
     // is the availability gap.

@@ -23,8 +23,8 @@ struct Result {
   std::int64_t completed_reads;
 };
 
-harness::ClusterConfig base_config() {
-  harness::ClusterConfig config;
+harness::CommonConfig base_config() {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 99;
   config.delta = Duration::millis(10);
@@ -53,33 +53,28 @@ Result run_window(ClusterT& cluster, int reads) {
                 reads};
 }
 
-Result run_core(ExperimentResult& result, int reads, core::ReadPolicy policy,
-                const std::string& label) {
-  core::ConfigOverrides overrides;
-  overrides.read_policy = policy;
-  harness::Cluster cluster(base_config(), std::make_shared<object::KVObject>(),
-                           overrides);
-  cluster.await_steady_leader(Duration::seconds(5));
+// One sweep point on a fresh cluster; a non-empty `label` also captures the
+// config and observability sections.
+template <class R>
+Result run(ExperimentResult& result, int reads, const std::string& label,
+           typename harness::StackCluster<R>::Extra extra = {}) {
+  harness::StackCluster<R> cluster(
+      base_config(), std::make_shared<object::KVObject>(), extra);
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
   const auto window = run_window(cluster, reads);
   if (!label.empty()) {
-    result.config(label, cluster.config(), cluster.overrides());
+    result.config(label, cluster);
     result.observe(label, cluster);
   }
   return window;
 }
 
-Result run_raft(ExperimentResult& result, int reads, const std::string& label) {
-  harness::RaftCluster cluster(base_config(),
-                               std::make_shared<object::KVObject>());
-  cluster.await_leader(Duration::seconds(5));
-  cluster.run_for(Duration::seconds(1));
-  const auto window = run_window(cluster, reads);
-  if (!label.empty()) {
-    result.config(label, cluster.config());
-    result.observe(label, cluster);
-  }
-  return window;
+Result run_core(ExperimentResult& result, int reads, core::ReadPolicy policy,
+                const std::string& label) {
+  core::ConfigOverrides overrides;
+  overrides.read_policy = policy;
+  return run<core::Replica>(result, reads, label, overrides);
 }
 
 }  // namespace
@@ -111,7 +106,8 @@ int main(int argc, char** argv) {
                                capture ? "ours" : "");
     const auto fwd = run_core(result, reads, core::ReadPolicy::kLeaderForward,
                               capture ? "leader-forward" : "");
-    const auto raft = run_raft(result, reads, capture ? "raft-readindex" : "");
+    const auto raft =
+        run<raft::RaftReplica>(result, reads, capture ? "raft-readindex" : "");
     if (reads == 0) {
       ours_base = ours.messages;
       fwd_base = fwd.messages;

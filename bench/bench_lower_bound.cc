@@ -56,17 +56,17 @@ ShiftCheck check_shift(Duration epsilon, Duration delta) {
 bool demonstrate_violation(ExperimentResult& result, Duration delta) {
   const std::uint64_t max_seed = result.smoke() ? 10 : 30;
   for (std::uint64_t seed = 1; seed <= max_seed; ++seed) {
-    harness::ClusterConfig config;
+    harness::CommonConfig config;
     config.n = 5;
     config.seed = seed;
     config.delta = delta;
     core::ConfigOverrides overrides;
     overrides.read_policy = core::ReadPolicy::kUnsafeLocal;
-    harness::Cluster cluster(config, std::make_shared<object::RegisterObject>(),
-                             overrides);
-    if (!cluster.await_steady_leader(Duration::seconds(5))) continue;
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>(), overrides);
+    if (!cluster.await_leader(Duration::seconds(5))) continue;
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     for (int i = 0; i < 40; ++i) {
       cluster.submit(leader, object::RegisterObject::write(std::to_string(i)));
       cluster.run_for(delta / 3);
@@ -77,7 +77,7 @@ bool demonstrate_violation(ExperimentResult& result, Duration delta) {
     const auto check =
         checker::check_linearizable(cluster.model(), cluster.history().ops());
     if (!check.linearizable) {
-      result.config("unsafe-local", cluster.config(), cluster.overrides());
+      result.config("unsafe-local", cluster);
       return true;
     }
   }
@@ -87,15 +87,16 @@ bool demonstrate_violation(ExperimentResult& result, Duration delta) {
 // Part (3): measured worst-case blocking of the real algorithm.
 Duration measured_blocking(ExperimentResult& result, Duration epsilon,
                            Duration delta, const std::string& label) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 88;
   config.delta = delta;
   config.epsilon = epsilon;
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
-  cluster.await_steady_leader(Duration::seconds(10));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
+  cluster.await_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   for (int i = 0; i < result.scaled(150, 30); ++i) {
     cluster.submit((leader + 1) % cluster.n(),
                    object::RegisterObject::write(std::to_string(i)));

@@ -15,7 +15,7 @@
 
 #include "checker/linearizability.h"
 #include "common/experiment.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 #include "sim/event_queue.h"
@@ -52,10 +52,10 @@ void BM_SimulatedClusterSecond(benchmark::State& state) {
   // Cost of simulating one second of a quiet 5-process cluster (heartbeats,
   // supports, lease renewals).
   for (auto _ : state) {
-    harness::ClusterConfig config;
+    harness::CommonConfig config;
     config.n = static_cast<int>(state.range(0));
-    harness::Cluster cluster(config,
-                             std::make_shared<object::RegisterObject>());
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>());
     cluster.run_for(Duration::seconds(1));
     benchmark::DoNotOptimize(cluster.sim().network().stats().sent);
   }
@@ -89,10 +89,11 @@ void BM_FullProtocolWriteThroughput(benchmark::State& state) {
   // End-to-end protocol cost: committed writes per wall-second through the
   // full stack (leader batching, majority round, lease gate) on a quiet
   // post-GST cluster.
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
   std::int64_t writes = 0;
   for (auto _ : state) {
@@ -106,10 +107,11 @@ void BM_FullProtocolWriteThroughput(benchmark::State& state) {
 BENCHMARK(BM_FullProtocolWriteThroughput);
 
 void BM_FullProtocolLocalRead(benchmark::State& state) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
+  cluster.await_leader(Duration::seconds(5));
   cluster.submit(0, object::RegisterObject::write("v"));
   cluster.await_quiesce(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));

@@ -21,8 +21,8 @@ namespace {
 
 constexpr Duration kDelta = Duration::millis(25);
 
-harness::ClusterConfig geo_config() {
-  harness::ClusterConfig config;
+harness::CommonConfig geo_config() {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 4242;
   config.delta = kDelta;
@@ -46,38 +46,28 @@ void drive(ClusterT& cluster, Rng& rng, int steps) {
   cluster.await_quiesce(Duration::seconds(120));
 }
 
-metrics::LatencyRecorder run_core(ExperimentResult& result,
-                                  const std::string& label,
-                                  core::ReadPolicy policy) {
+template <class R>
+metrics::LatencyRecorder run(ExperimentResult& result, const std::string& label,
+                             typename harness::StackCluster<R>::Extra extra) {
   Rng rng(1);
-  core::ConfigOverrides overrides;
-  overrides.read_policy = policy;
-  harness::Cluster cluster(geo_config(), std::make_shared<object::KVObject>(),
-                           overrides);
-  cluster.await_steady_leader(Duration::seconds(10));
+  harness::StackCluster<R> cluster(
+      geo_config(), std::make_shared<object::KVObject>(), extra);
+  cluster.await_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(2));
   drive(cluster, rng, result.scaled(400, 10));
-  result.config(label, cluster.config(), cluster.overrides());
+  result.config(label, cluster);
   result.observe(label, cluster);
   const auto reads = split_latencies(cluster.model(), cluster.history()).reads;
   result.latency(label, reads);
   return reads;
 }
 
-metrics::LatencyRecorder run_raft(ExperimentResult& result,
+metrics::LatencyRecorder run_core(ExperimentResult& result,
                                   const std::string& label,
-                                  raft::ReadMode mode) {
-  Rng rng(1);
-  harness::RaftCluster cluster(geo_config(),
-                               std::make_shared<object::KVObject>(), mode);
-  cluster.await_leader(Duration::seconds(10));
-  cluster.run_for(Duration::seconds(2));
-  drive(cluster, rng, result.scaled(400, 10));
-  result.config(label, cluster.config());
-  result.observe(label, cluster);
-  const auto reads = split_latencies(cluster.model(), cluster.history()).reads;
-  result.latency(label, reads);
-  return reads;
+                                  core::ReadPolicy policy) {
+  core::ConfigOverrides overrides;
+  overrides.read_policy = policy;
+  return run<core::Replica>(result, label, overrides);
 }
 
 void add_row(ExperimentResult& result, const std::string& name,
@@ -112,9 +102,11 @@ int main(int argc, char** argv) {
   add_row(result, "timestamp + safe-time wait (Spanner option b)",
           run_core(result, "safe-time", core::ReadPolicy::kSafeTime));
   add_row(result, "raft ReadIndex",
-          run_raft(result, "raft-readindex", raft::ReadMode::kReadIndex));
+          run<raft::RaftReplica>(result, "raft-readindex",
+                                 raft::ReadMode::kReadIndex));
   add_row(result, "raft leader-lease",
-          run_raft(result, "raft-lease", raft::ReadMode::kLeaderLease));
+          run<raft::RaftReplica>(result, "raft-lease",
+                                 raft::ReadMode::kLeaderLease));
   result.note(
       "Expected shape: ours p50 = 0 ms (local, non-blocking), p99\n"
       "<= 3*delta = 75 ms; conflict-blind inflates p50/p99; safe-time\n"

@@ -11,7 +11,7 @@
 
 #include "common/bench_util.h"
 #include "common/experiment.h"
-#include "harness/vr_cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/register_object.h"
 
 namespace cht::bench {
@@ -19,8 +19,8 @@ namespace {
 
 constexpr Duration kDelta = Duration::millis(10);
 
-harness::ClusterConfig net_config(std::uint64_t seed) {
-  harness::ClusterConfig config;
+harness::CommonConfig net_config(std::uint64_t seed) {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = kDelta;
@@ -62,12 +62,16 @@ RmwResult measure(ClusterT& cluster, bool pipelined, int count) {
   return result;
 }
 
-template <class ClusterT, class AwaitFn>
-RmwResult run(ClusterT& cluster, AwaitFn await_ready, bool pipelined,
-              int count) {
-  await_ready();
+template <class R>
+RmwResult run(const std::string& label, bool pipelined, int count,
+              ExperimentResult& result) {
+  harness::StackCluster<R> cluster(net_config(3),
+                                   std::make_shared<object::RegisterObject>());
+  cluster.await_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(1));
-  return measure(cluster, pipelined, count);
+  const RmwResult r = measure(cluster, pipelined, count);
+  result.observe(label, cluster);
+  return r;
 }
 
 void add_row(ExperimentResult& result, const std::string& name,
@@ -101,33 +105,12 @@ int main(int argc, char** argv) {
         "traffic (heartbeats, leases, supports) amortized over the writes.");
     result.columns({"algorithm", "p50 (ms)", "p99 (ms)", "msgs/op"});
     const std::string suffix = pipelined ? "-pipelined" : "-closed";
-    {
-      harness::Cluster cluster(net_config(3),
-                               std::make_shared<object::RegisterObject>());
-      add_row(result, "ours", "ours" + suffix,
-              run(cluster,
-                  [&] { cluster.await_steady_leader(Duration::seconds(10)); },
-                  pipelined, count));
-      result.observe("ours" + suffix, cluster);
-    }
-    {
-      harness::RaftCluster cluster(net_config(3),
-                                   std::make_shared<object::RegisterObject>());
-      add_row(result, "raft", "raft" + suffix,
-              run(cluster,
-                  [&] { cluster.await_leader(Duration::seconds(10)); },
-                  pipelined, count));
-      result.observe("raft" + suffix, cluster);
-    }
-    {
-      harness::VrCluster cluster(net_config(3),
-                                 std::make_shared<object::RegisterObject>());
-      add_row(result, "viewstamped replication", "vr" + suffix,
-              run(cluster,
-                  [&] { cluster.await_primary(Duration::seconds(10)); },
-                  pipelined, count));
-      result.observe("vr" + suffix, cluster);
-    }
+    add_row(result, "ours", "ours" + suffix,
+            run<core::Replica>("ours" + suffix, pipelined, count, result));
+    add_row(result, "raft", "raft" + suffix,
+            run<raft::RaftReplica>("raft" + suffix, pipelined, count, result));
+    add_row(result, "viewstamped replication", "vr" + suffix,
+            run<vr::VrReplica>("vr" + suffix, pipelined, count, result));
     if (pipelined) {
       result.note(
           "Expected shape: same order of magnitude across all three\n"

@@ -33,8 +33,8 @@
 namespace cht::bench {
 namespace {
 
-harness::ClusterConfig base_config(std::uint64_t seed) {
-  harness::ClusterConfig config;
+harness::CommonConfig base_config(std::uint64_t seed) {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -61,9 +61,9 @@ int main(int argc, char** argv) {
 
   // (a) Majority crash.
   {
-    harness::Cluster cluster(base_config(91),
-                             std::make_shared<object::RegisterObject>());
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        base_config(91), std::make_shared<object::RegisterObject>());
+    cluster.await_leader(Duration::seconds(5));
     cluster.submit(0, object::RegisterObject::write("pre"));
     cluster.await_quiesce(Duration::seconds(5));
     for (int i = 0; i < 3; ++i) cluster.sim().crash(ProcessId(i));
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
                 "post-crash ops pend forever (liveness lost, safety kept)"});
     result.metric("majority_crash_safety_kept",
                   static_cast<std::int64_t>(full.linearizable ? 1 : 0));
-    result.config("majority-crash", cluster.config(), cluster.overrides());
+    result.config("majority-crash", cluster);
     result.observe("majority-crash", cluster);
   }
 
@@ -92,17 +92,17 @@ int main(int argc, char** argv) {
   // Guard pinned off: this row documents the *unguarded* failure mode the
   // paper accepts; the guard-on contrast is the clock-guard axis below.
   {
-    harness::ClusterConfig config = base_config(92);
+    harness::CommonConfig config = base_config(92);
     config.clock_guard = false;
-    harness::Cluster cluster(config,
-                             std::make_shared<object::RegisterObject>());
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>());
+    cluster.await_leader(Duration::seconds(5));
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     const int victim = (leader + 1) % cluster.n();
     cluster.submit(leader, object::RegisterObject::write("old"));
     cluster.await_quiesce(Duration::seconds(5));
-    cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+    cluster.run_for(cluster.stack_config().lease_renew_interval * 3);
     cluster.sim().set_clock_offset(ProcessId(victim), Duration::seconds(-3600));
     cluster.sim().network().set_process_isolated(ProcessId(victim), true,
                                                  cluster.n());
@@ -133,13 +133,13 @@ int main(int argc, char** argv) {
   // off: with it on, the victim's reads degrade to consensus instead of
   // stalling (measured by the clock-guard axis below).
   {
-    harness::ClusterConfig config = base_config(93);
+    harness::CommonConfig config = base_config(93);
     config.clock_guard = false;
-    harness::Cluster cluster(config,
-                             std::make_shared<object::RegisterObject>());
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>());
+    cluster.await_leader(Duration::seconds(5));
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     const int victim = (leader + 1) % cluster.n();
     cluster.submit(leader, object::RegisterObject::write("current"));
     cluster.await_quiesce(Duration::seconds(5));
@@ -171,15 +171,15 @@ int main(int argc, char** argv) {
   // time = sim-time from restart until the rebooted replica's applied
   // prefix catches the leader's pre-crash prefix.
   {
-    harness::Cluster cluster(base_config(94),
-                             std::make_shared<object::RegisterObject>());
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        base_config(94), std::make_shared<object::RegisterObject>());
+    cluster.await_leader(Duration::seconds(5));
     metrics::LatencyRecorder recovery;
     const int cycles = result.scaled(10, 3);
     int bounced = 0;
     std::string last_value;
     for (int c = 0; c < cycles; ++c) {
-      const int leader = cluster.steady_leader();
+      const int leader = cluster.leader();
       int victim = (leader + 1 + c) % cluster.n();
       if (victim == leader) victim = (victim + 1) % cluster.n();
       last_value = "epoch" + std::to_string(c);
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
           restarted_at + Duration::seconds(30));
       if (caught_up) recovery.record(cluster.sim().now() - restarted_at);
     }
-    cluster.submit(cluster.steady_leader(), object::RegisterObject::read());
+    cluster.submit(cluster.leader(), object::RegisterObject::read());
     cluster.await_quiesce(Duration::seconds(10));
     const std::string got = *cluster.history().ops().back().response;
     const auto full =
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
     if (!recovery.empty()) {
       result.latency("power-cycle recovery", recovery);
     }
-    result.config("power-cycle", cluster.config(), cluster.overrides());
+    result.config("power-cycle", cluster);
     result.observe("power-cycle", cluster);
   }
 
@@ -244,15 +244,15 @@ int main(int argc, char** argv) {
            {"0", Duration::zero()},
            {"0.5*delta", Duration::millis(5)},
            {"2*delta", Duration::millis(20)}}) {
-    harness::ClusterConfig config = base_config(95);
+    harness::CommonConfig config = base_config(95);
     config.storage.sync_latency = sync_latency;
-    harness::Cluster cluster(config,
-                             std::make_shared<object::RegisterObject>());
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::RegisterObject>());
+    cluster.await_leader(Duration::seconds(5));
     const int cycles = result.scaled(5, 2);
     std::string last_value;
     for (int c = 0; c < cycles; ++c) {
-      const int leader = cluster.steady_leader();
+      const int leader = cluster.leader();
       int victim = (leader + 1 + c) % cluster.n();
       if (victim == leader) victim = (victim + 1) % cluster.n();
       last_value = "sync-epoch" + std::to_string(c);
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
       cluster.restart(victim);
       cluster.run_for(Duration::seconds(1));
     }
-    cluster.submit(cluster.steady_leader(), object::RegisterObject::read());
+    cluster.submit(cluster.leader(), object::RegisterObject::read());
     cluster.await_quiesce(Duration::seconds(10));
     const std::string got = *cluster.history().ops().back().response;
     const auto full =
@@ -291,8 +291,7 @@ int main(int argc, char** argv) {
                   static_cast<std::int64_t>(full.linearizable ? 1 : 0));
     result.metric("sync_axis_fsyncs" + suffix, fsyncs);
     result.metric("sync_axis_stall_us" + suffix, stall);
-    result.config("sync-axis-" + axis_label, cluster.config(),
-                  cluster.overrides());
+    result.config("sync-axis-" + axis_label, cluster);
   }
 
   // (f) Clock-health guard axis: the same clock-storm chaos cells swept
@@ -372,11 +371,11 @@ int main(int argc, char** argv) {
   // the same replica's read latency while healthy (lease-local) and while
   // suspect (degraded RMW path).
   {
-    harness::Cluster cluster(base_config(96),
-                             std::make_shared<object::RegisterObject>());
-    cluster.await_steady_leader(Duration::seconds(5));
+    harness::StackCluster<core::Replica> cluster(
+        base_config(96), std::make_shared<object::RegisterObject>());
+    cluster.await_leader(Duration::seconds(5));
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     const int victim = (leader + 1) % cluster.n();
     cluster.submit(leader, object::RegisterObject::write("v"));
     cluster.await_quiesce(Duration::seconds(5));

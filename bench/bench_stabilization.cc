@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
       "delays <= delta = 10 ms. Steady workload: 1 write + 4 reads per\n"
       "100 ms window, submitters round-robin.");
 
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 1001;
   config.delta = Duration::millis(10);
   config.gst = RealTime::zero() + Duration::seconds(3);
   config.pre_gst_loss = 0.2;
   config.pre_gst_delay_max = Duration::millis(250);
-  harness::Cluster cluster(config, std::make_shared<object::KVObject>());
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::KVObject>());
 
   struct Sample {
     RealTime submitted;
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
                 cell(reads, true),
                 metrics::Table::num(static_cast<std::int64_t>(pending))});
   }
-  result.config("across-gst", cluster.config(), cluster.overrides());
+  result.config("across-gst", cluster);
   result.observe("across-gst", cluster);
   result.latency("post-gst-reads", post_gst_reads);
   result.latency("post-gst-writes", post_gst_writes);

@@ -21,8 +21,8 @@ namespace {
 
 constexpr Duration kDelta = Duration::millis(10);
 
-harness::ClusterConfig base_config(std::uint64_t seed = 61) {
-  harness::ClusterConfig config;
+harness::CommonConfig base_config(std::uint64_t seed = 61) {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = kDelta;
@@ -35,12 +35,11 @@ std::vector<Duration> crash_timeline(ExperimentResult& result,
                                      const std::string& label) {
   core::ConfigOverrides overrides;
   overrides.commit_gate = gate;
-  harness::Cluster cluster(base_config(),
-                           std::make_shared<object::RegisterObject>(),
-                           overrides);
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      base_config(), std::make_shared<object::RegisterObject>(), overrides);
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int submitter = (leader + 2) % cluster.n();
 
   std::vector<Duration> latencies;
@@ -53,7 +52,7 @@ std::vector<Duration> crash_timeline(ExperimentResult& result,
   for (int i = 0; i < 3; ++i) timed_write(i);  // healthy
   cluster.sim().crash(ProcessId((leader + 1) % cluster.n()));
   for (int i = 3; i < 10; ++i) timed_write(i);  // after the crash
-  result.config(label, cluster.config(), cluster.overrides());
+  result.config(label, cluster);
   result.observe(label, cluster);
   metrics::LatencyRecorder lat;
   for (const Duration d : latencies) lat.record(d);
@@ -72,13 +71,13 @@ struct SyncAxisCell {
 
 SyncAxisCell sync_axis_run(ExperimentResult& result, Duration sync_latency,
                            bool group_commit, const std::string& label) {
-  harness::ClusterConfig config = base_config(83);
+  harness::CommonConfig config = base_config(83);
   config.storage.sync_latency = sync_latency;
   config.storage.group_commit = group_commit;
-  harness::Cluster cluster(config,
-                           std::make_shared<object::RegisterObject>(),
-                           core::ConfigOverrides{});
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>(),
+      core::ConfigOverrides{});
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
 
   auto totals = [&](std::int64_t& fsyncs, std::int64_t& stall) {
@@ -103,7 +102,7 @@ SyncAxisCell sync_axis_run(ExperimentResult& result, Duration sync_latency,
 
   std::int64_t fsyncs_after = 0, stall_after = 0;
   totals(fsyncs_after, stall_after);
-  result.config(label, cluster.config(), cluster.overrides());
+  result.config(label, cluster);
   result.latency(label, lat);
 
   SyncAxisCell cell;
@@ -118,10 +117,9 @@ Duration steady_write_latency(ExperimentResult& result, Duration commit_wait,
                               std::uint64_t seed) {
   core::ConfigOverrides overrides;
   overrides.commit_wait = commit_wait;
-  harness::Cluster cluster(base_config(seed),
-                           std::make_shared<object::RegisterObject>(),
-                           overrides);
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      base_config(seed), std::make_shared<object::RegisterObject>(), overrides);
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
   metrics::LatencyRecorder lat;
   for (int i = 0; i < result.scaled(20, 6); ++i) {

@@ -5,8 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "harness/cluster.h"
-#include "harness/raft_cluster.h"
+#include "harness/stack_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 

@@ -30,11 +30,12 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/bench_util.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "metrics/json.h"
 #include "metrics/registry.h"
 #include "metrics/stats.h"
@@ -146,7 +147,7 @@ class ExperimentResult {
   }
 
   // --- Experiment configuration capture ------------------------------------
-  void config(const std::string& label, const harness::ClusterConfig& cluster,
+  void config(const std::string& label, const harness::CommonConfig& cluster,
               const core::ConfigOverrides& overrides = {}) {
     auto value = metrics::json::Value::object();
     value.set("label", label);
@@ -160,6 +161,17 @@ class ExperimentResult {
     for (const auto& [k, v] : overrides.entries()) ov.set(k, v);
     value.set("overrides", std::move(ov));
     configs_.push(std::move(value));
+  }
+  // A cluster's config; a chtread cluster adds its ConfigOverrides (the
+  // baselines' one extra input is not a core::Config deviation).
+  template <class R>
+  void config(const std::string& label,
+              const harness::StackCluster<R>& cluster) {
+    if constexpr (std::is_same_v<R, core::Replica>) {
+      config(label, cluster.config(), cluster.extra());
+    } else {
+      config(label, cluster.config());
+    }
   }
 
   // --- Observability capture: merged registries + message counts -----------

@@ -6,24 +6,25 @@
 #include <iostream>
 #include <memory>
 
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 
 int main() {
   using namespace cht;  // NOLINT: example brevity
 
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 3;
   config.delta = Duration::millis(10);
-  harness::Cluster cluster(config, std::make_shared<object::KVObject>());
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::KVObject>());
 
   auto stamp = [&] {
     std::cout << "[t=" << cluster.sim().now().to_millis_f() << " ms] ";
   };
 
-  cluster.await_steady_leader(Duration::seconds(5));
-  const int leader1 = cluster.steady_leader();
+  cluster.await_leader(Duration::seconds(5));
+  const int leader1 = cluster.leader();
   stamp();
   std::cout << "p" << leader1 << " is the steady leader\n";
 
@@ -44,7 +45,7 @@ int main() {
   int leader2 = -1;
   cluster.sim().run_until(
       [&] {
-        leader2 = cluster.steady_leader();
+        leader2 = cluster.leader();
         return leader2 >= 0 && leader2 != leader1;
       },
       cluster.sim().now() + Duration::seconds(30));
@@ -59,7 +60,7 @@ int main() {
   std::cout << "the in-flight write completed under the new leader\n";
 
   // Show reads are served locally everywhere again.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.stack_config().lease_renew_interval * 3);
   for (int p = 0; p < cluster.n(); ++p) {
     if (cluster.replica(p).crashed()) continue;
     cluster.submit(p, object::KVObject::get("inventory"));

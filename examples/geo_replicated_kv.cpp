@@ -9,7 +9,7 @@
 #include <iostream>
 #include <memory>
 
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 #include "object/kv_object.h"
@@ -25,13 +25,14 @@ struct RunResult {
 };
 
 RunResult run(core::ReadPolicy policy) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 2024;
   config.delta = Duration::millis(40);  // wide-area delay bound
-  harness::Cluster cluster(config, std::make_shared<object::KVObject>(),
-                           core::ConfigOverrides{.read_policy = policy});
-  cluster.await_steady_leader(Duration::seconds(10));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::KVObject>(),
+      core::ConfigOverrides{.read_policy = policy});
+  cluster.await_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(2));
 
   Rng rng(7);

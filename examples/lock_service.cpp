@@ -10,18 +10,19 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/lock_object.h"
 
 int main() {
   using namespace cht;  // NOLINT: example brevity
 
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 77;
   config.delta = Duration::millis(10);
-  harness::Cluster cluster(config, std::make_shared<object::LockObject>());
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::LockObject>());
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
 
   // Each process repeatedly tries to take the lock; on success it holds it

@@ -6,25 +6,26 @@
 #include <iostream>
 #include <memory>
 
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/register_object.h"
 
 int main() {
   using namespace cht;  // NOLINT: example brevity
 
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.delta = Duration::millis(10);     // post-GST message delay bound
   config.epsilon = Duration::millis(1);    // clock skew bound
   config.gst = RealTime::zero();           // stable from the start
 
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
 
-  if (!cluster.await_steady_leader(Duration::seconds(5))) {
+  if (!cluster.await_leader(Duration::seconds(5))) {
     std::cerr << "no leader elected\n";
     return 1;
   }
-  std::cout << "steady leader: p" << cluster.steady_leader() << " after "
+  std::cout << "steady leader: p" << cluster.leader() << " after "
             << cluster.sim().now().to_millis_f() << " ms\n";
 
   // Write through a follower; the request is forwarded to the leader, which
@@ -36,7 +37,7 @@ int main() {
 
   // Give the lease mechanism one renewal so every replica can serve the new
   // value locally, then read at every process.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 2);
+  cluster.run_for(cluster.stack_config().lease_renew_interval * 2);
   const auto msgs_before = cluster.sim().network().stats().sent;
   for (int i = 0; i < cluster.n(); ++i) {
     cluster.submit(i, object::RegisterObject::read());

@@ -10,7 +10,7 @@
 #include <iostream>
 #include <memory>
 
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 #include "object/kv_object.h"
@@ -26,13 +26,14 @@ struct Outcome {
 };
 
 Outcome run(int n, core::ReadPolicy policy) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = n;
   config.seed = 1234;
   config.delta = Duration::millis(10);
-  harness::Cluster cluster(config, std::make_shared<object::KVObject>(),
-                           core::ConfigOverrides{.read_policy = policy});
-  cluster.await_steady_leader(Duration::seconds(5));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::KVObject>(),
+      core::ConfigOverrides{.read_policy = policy});
+  cluster.await_leader(Duration::seconds(5));
   cluster.submit(0, object::KVObject::put("page", "content"));
   cluster.await_quiesce(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));

@@ -1,7 +1,7 @@
 // ClusterAdapter: one uniform surface over every protocol stack the chaos
-// subsystem can torture — the paper's algorithm (harness::Cluster), the Raft
-// baseline in both read modes (harness::RaftCluster) and Viewstamped
-// Replication (harness::VrCluster).
+// subsystem can torture — the paper's algorithm, the Raft baseline in both
+// read modes and Viewstamped Replication. make_adapter implements it once,
+// as a StackAdapter<R> over harness::StackCluster<R> (chaos/adapter.cc).
 //
 // The nemesis, workload driver, seed sweeper and invariant registry are all
 // written against this interface, so a fault schedule or a safety check is

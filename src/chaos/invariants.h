@@ -20,12 +20,16 @@
 //   durability           every acknowledged write is still committed on some
 //                        live replica — power cycles that lose unsynced
 //                        storage writes must never roll back an acked op
-//   protocol invariants  per-stack final-state checks supplied by the
-//                        adapter: election safety / single steady leader,
-//                        committed-prefix agreement, ...
+//   protocol invariants  final-state checks over every live replica,
+//                        written once for all stacks (protocol_violations
+//                        below): one leader per epoch, committed-prefix
+//                        agreement
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -65,6 +69,58 @@ struct ExposureInput {
   // When Nemesis::stop_and_heal restored every clock offset.
   RealTime heal_time = RealTime::max();
 };
+
+// One replica as the protocol invariants see it. `Entries` is any sized
+// random-access range of equality-comparable entries.
+template <class Entries>
+struct ReplicaView {
+  bool live = false;  // not crashed
+  bool leader = false;
+  std::int64_t epoch = 0;  // term, view, or a stack-wide constant
+  Entries committed{};     // committed prefix, in commit order
+};
+
+// The protocol invariants, over the live replicas of one `stack`:
+//   one leader per epoch        Raft election safety, one normal primary per
+//                               VR view, at most one steady chtread leader
+//                               (chtread puts every reign in epoch 0)
+//   committed-prefix agreement  two replicas' committed prefixes agree up to
+//                               the shorter one (reported once per pair, at
+//                               the first differing 1-based index)
+// `epoch_name` only labels the report. Empty means both hold.
+template <class Entries>
+std::vector<std::string> protocol_violations(
+    const std::string& stack, const std::string& epoch_name,
+    const std::vector<ReplicaView<Entries>>& replicas) {
+  std::vector<std::string> violations;
+  std::map<std::int64_t, int> leaders_per_epoch;
+  for (const auto& r : replicas) {
+    if (r.live && r.leader) ++leaders_per_epoch[r.epoch];
+  }
+  for (const auto& [epoch, count] : leaders_per_epoch) {
+    if (count < 2) continue;
+    violations.push_back(stack + ": " + std::to_string(count) +
+                         " leaders in " + epoch_name + " " +
+                         std::to_string(epoch));
+  }
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    if (!replicas[i].live) continue;
+    const auto& a = replicas[i].committed;
+    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
+      if (!replicas[j].live) continue;
+      const auto& b = replicas[j].committed;
+      const std::size_t upto = std::min(a.size(), b.size());
+      const auto diverged =
+          std::mismatch(a.begin(), a.begin() + upto, b.begin()).first;
+      if (diverged == a.begin() + upto) continue;
+      violations.push_back(
+          stack + ": committed prefix diverges at index " +
+          std::to_string(diverged - a.begin() + 1) + " between p" +
+          std::to_string(i) + " and p" + std::to_string(j));
+    }
+  }
+  return violations;
+}
 
 // Runs the full registry. `quiesced` is the result of await_quiesce after
 // Nemesis::stop_and_heal(); `check_budget` bounds the linearizability

@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/counter_object.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
@@ -14,11 +14,11 @@
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig base_config(std::uint64_t seed) {
-  ClusterConfig config;
+CommonConfig base_config(std::uint64_t seed) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -27,9 +27,9 @@ ClusterConfig base_config(std::uint64_t seed) {
 
 TEST(BatchingTest, ConcurrentSubmissionsShareBatches) {
   Cluster cluster(base_config(61), std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const auto committed_before =
       cluster.replica(leader).metrics().value("batches_committed_as_leader");
   // 50 increments fired simultaneously from all processes.
@@ -60,7 +60,7 @@ TEST(BatchingTest, ConcurrentSubmissionsShareBatches) {
 
 TEST(BatchingTest, ResponsesMatchBatchOrder) {
   Cluster cluster(base_config(62), std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int i = 0; i < 20; ++i) {
     cluster.submit(i % cluster.n(), object::CounterObject::add(1));
     if (i % 5 == 4) cluster.run_for(Duration::millis(30));
@@ -77,9 +77,9 @@ TEST(BatchingTest, ResponsesMatchBatchOrder) {
 // batch with a number >= every pending batch, unblocking them.
 TEST(BatchingTest, NoOpUnblocksReadsAfterLeaderCrash) {
   Cluster cluster(base_config(63), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int reader = (leader + 1) % cluster.n();
   // Start a write and kill the leader while the Prepare is likely delivered
   // but the Commit is not.
@@ -102,8 +102,8 @@ TEST(BatchingTest, NoOpCommittedOnQuietLeadershipChange) {
   // Even with zero client traffic, a new leader commits its NoOp so that
   // lease batch numbers advance and reads stay live.
   Cluster cluster(base_config(64), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  const int first = cluster.steady_leader();
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  const int first = cluster.leader();
   // The first leader's own NoOp commits shortly after it enters steady
   // state.
   ASSERT_TRUE(cluster.sim().run_until(
@@ -114,7 +114,7 @@ TEST(BatchingTest, NoOpCommittedOnQuietLeadershipChange) {
   int second = -1;
   ASSERT_TRUE(cluster.sim().run_until(
       [&] {
-        second = cluster.steady_leader();
+        second = cluster.leader();
         return second >= 0 && second != first;
       },
       cluster.sim().now() + Duration::seconds(30)));

@@ -10,9 +10,7 @@
 
 #include "client/client.h"
 #include "client/session.h"
-#include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/counter_object.h"
 
 namespace cht {
@@ -128,8 +126,8 @@ TEST(SessionTableTest, SeqRegressionStillRefreshesRecency) {
 
 // --- chtread integration ----------------------------------------------------
 
-harness::ClusterConfig client_config(std::uint64_t seed) {
-  harness::ClusterConfig config;
+harness::CommonConfig client_config(std::uint64_t seed) {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -139,9 +137,9 @@ harness::ClusterConfig client_config(std::uint64_t seed) {
 }
 
 TEST(ClientPathTest, CalmRunCompletesThroughClients) {
-  harness::Cluster cluster(client_config(21),
-                           std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  harness::StackCluster<core::Replica> cluster(
+      client_config(21), std::make_shared<object::CounterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int i = 0; i < 10; ++i) {
     cluster.submit(i % cluster.n(), object::CounterObject::add(1));
   }
@@ -167,11 +165,11 @@ TEST(ClientPathTest, CalmRunCompletesThroughClients) {
 // must still apply each acked increment exactly once.
 TEST(ClientPathTest, DuplicateDeliveryAppliesRmwsOnce) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    harness::ClusterConfig config = client_config(seed);
+    harness::CommonConfig config = client_config(seed);
     config.gst = RealTime::zero() + Duration::seconds(2);
     config.pre_gst_loss = 0.05;
-    harness::Cluster cluster(config,
-                             std::make_shared<object::CounterObject>());
+    harness::StackCluster<core::Replica> cluster(
+        config, std::make_shared<object::CounterObject>());
     cluster.sim().network().set_pre_gst_duplicate_probability(0.3);
 
     for (int i = 0; i < 20; ++i) {
@@ -194,9 +192,9 @@ TEST(ClientPathTest, DuplicateDeliveryAppliesRmwsOnce) {
 // same OperationIds across elections and the rebuilt session tables must
 // collapse every retry. The final count is exact, not approximate.
 TEST(ClientPathTest, LeaderCrashLoopKeepsRmwsExactlyOnce) {
-  harness::Cluster cluster(client_config(33),
-                           std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  harness::StackCluster<core::Replica> cluster(
+      client_config(33), std::make_shared<object::CounterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
 
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 5; ++i) {
@@ -205,7 +203,7 @@ TEST(ClientPathTest, LeaderCrashLoopKeepsRmwsExactlyOnce) {
     // Take down the current leader with the round's increments still in
     // flight, let the cluster re-elect and the clients chase it, then bring
     // the victim back so the next round has a full cluster again.
-    const int victim = cluster.steady_leader();
+    const int victim = cluster.leader();
     if (victim >= 0) {
       cluster.sim().crash(ProcessId(victim));
       cluster.run_for(Duration::millis(400));
@@ -215,7 +213,7 @@ TEST(ClientPathTest, LeaderCrashLoopKeepsRmwsExactlyOnce) {
         << "round " << round;
   }
 
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   std::string value;
   cluster.submit(0, object::CounterObject::value(),
                  [&](const object::Response& r) { value = r; });
@@ -227,10 +225,10 @@ TEST(ClientPathTest, LeaderCrashLoopKeepsRmwsExactlyOnce) {
 // durable log through the apply path: the retry of an already-applied RMW
 // must classify as a duplicate on the restarted replica, not as fresh.
 TEST(ClientPathTest, PowerCycleRebuildsSessionTable) {
-  harness::Cluster cluster(client_config(44),
-                           std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  const int leader = cluster.steady_leader();
+  harness::StackCluster<core::Replica> cluster(
+      client_config(44), std::make_shared<object::CounterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  const int leader = cluster.leader();
 
   bool done = false;
   const OperationId id = cluster.client(0).submit(
@@ -265,8 +263,8 @@ TEST(ClientPathTest, PowerCycleRebuildsSessionTable) {
 // A client whose home replica is a follower gets a Redirect pointing at the
 // leader and completes there; no timeout-rotation luck involved.
 TEST(RaftClientTest, FollowerRedirectsRmwToLeader) {
-  harness::RaftCluster cluster(client_config(8),
-                               std::make_shared<object::CounterObject>());
+  harness::StackCluster<raft::RaftReplica> cluster(
+      client_config(8), std::make_shared<object::CounterObject>());
   ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   const int leader = cluster.leader();
   const int follower_slot = (leader + 1) % cluster.n();
@@ -284,9 +282,9 @@ TEST(RaftClientTest, FollowerRedirectsRmwToLeader) {
 }
 
 TEST(VrClientTest, ClientPathCompletesAndCountsExactly) {
-  harness::VrCluster cluster(client_config(12),
-                             std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  harness::StackCluster<vr::VrReplica> cluster(
+      client_config(12), std::make_shared<object::CounterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int i = 0; i < 8; ++i) {
     cluster.submit(i % cluster.n(), object::CounterObject::add(1));
   }

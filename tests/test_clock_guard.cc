@@ -13,8 +13,7 @@
 #include "chaos/invariants.h"
 #include "checker/linearizability.h"
 #include "core/clock_guard.h"
-#include "harness/cluster.h"
-#include "harness/raft_cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/register_object.h"
 #include "sim/simulation.h"
 
@@ -116,8 +115,8 @@ TEST(ClockSkewGuardTest, FreshBadEvidenceRestartsTheWindow) {
 
 // --- chtread: degraded reads and lease gating --------------------------------
 
-harness::ClusterConfig chtread_config(std::uint64_t seed) {
-  harness::ClusterConfig config;
+harness::CommonConfig chtread_config(std::uint64_t seed) {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -130,11 +129,11 @@ harness::ClusterConfig chtread_config(std::uint64_t seed) {
 // to the consensus path (completing promptly and fresh instead of stalling
 // for the 30s clamp decay), and the full history stays linearizable.
 TEST(ClockGuardChtreadTest, SkewedReplicaDegradesReadsAndStaysLinearizable) {
-  harness::Cluster cluster(chtread_config(61),
-                           std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  harness::StackCluster<core::Replica> cluster(
+      chtread_config(61), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int victim = (leader + 1) % cluster.n();
   cluster.submit(leader, object::RegisterObject::write("current"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
@@ -165,11 +164,11 @@ TEST(ClockGuardChtreadTest, SkewedReplicaDegradesReadsAndStaysLinearizable) {
 // consensus; once its offset is healed and the clamp decays, it
 // re-qualifies and lease reads resume.
 TEST(ClockGuardChtreadTest, SuspectLeaderStopsLeasesAndRequalifies) {
-  harness::Cluster cluster(chtread_config(62),
-                           std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  harness::StackCluster<core::Replica> cluster(
+      chtread_config(62), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   cluster.submit(leader, object::RegisterObject::write("v1"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
 
@@ -203,10 +202,10 @@ TEST(ClockGuardChtreadTest, SuspectLeaderStopsLeasesAndRequalifies) {
 // --- Raft: lease reads fall back to ReadIndex --------------------------------
 
 TEST(ClockGuardRaftTest, SuspectLeaderDemotesLeaseReadsToReadIndex) {
-  harness::ClusterConfig config = chtread_config(63);
-  harness::RaftCluster cluster(config,
-                               std::make_shared<object::RegisterObject>(),
-                               raft::ReadMode::kLeaderLease);
+  harness::CommonConfig config = chtread_config(63);
+  harness::StackCluster<raft::RaftReplica> cluster(
+      config, std::make_shared<object::RegisterObject>(),
+      raft::ReadMode::kLeaderLease);
   ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
   const int leader = cluster.leader();

@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
+#include "harness/stack_cluster.h"
 #include "leader/enhanced_leader.h"
 #include "object/register_object.h"
 #include "raft/raft.h"
@@ -24,8 +22,8 @@
 namespace cht {
 namespace {
 
-harness::ClusterConfig config_with_seed(std::uint64_t seed) {
-  harness::ClusterConfig config;
+harness::CommonConfig config_with_seed(std::uint64_t seed) {
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -36,10 +34,10 @@ harness::ClusterConfig config_with_seed(std::uint64_t seed) {
 // --- chtread ---------------------------------------------------------------
 
 TEST(CrashRecoveryTest, ChtreadAckedWriteSurvivesFollowerPowerCycle) {
-  harness::Cluster cluster(config_with_seed(11),
-                           std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  const int leader = cluster.steady_leader();
+  harness::StackCluster<core::Replica> cluster(
+      config_with_seed(11), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  const int leader = cluster.leader();
   cluster.submit(leader, object::RegisterObject::write("durable"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 
@@ -67,14 +65,14 @@ TEST(CrashRecoveryTest, ChtreadAckedWriteSurvivesFollowerPowerCycle) {
 TEST(CrashRecoveryTest, ChtreadEmptyStorageRestart) {
   // Crash a replica before it ever synced anything; on_restart must cope
   // with a storage holding no records and no log.
-  harness::Cluster cluster(config_with_seed(12),
-                           std::make_shared<object::RegisterObject>());
+  harness::StackCluster<core::Replica> cluster(
+      config_with_seed(12), std::make_shared<object::RegisterObject>());
   cluster.sim().crash(ProcessId(4));
   cluster.run_for(Duration::millis(50));
   cluster.restart(4);
 
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  cluster.submit(cluster.steady_leader(),
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  cluster.submit(cluster.leader(),
                  object::RegisterObject::write("post-restart"));
   EXPECT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 }
@@ -82,8 +80,8 @@ TEST(CrashRecoveryTest, ChtreadEmptyStorageRestart) {
 // --- Raft ------------------------------------------------------------------
 
 TEST(CrashRecoveryTest, RaftMinorityPowerCycleKeepsAckedWrites) {
-  harness::RaftCluster cluster(config_with_seed(21),
-                               std::make_shared<object::RegisterObject>());
+  harness::StackCluster<raft::RaftReplica> cluster(
+      config_with_seed(21), std::make_shared<object::RegisterObject>());
   ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   const int leader = cluster.leader();
   cluster.submit(leader, object::RegisterObject::write("acked"));
@@ -115,8 +113,8 @@ TEST(CrashRecoveryTest, RaftMinorityPowerCycleKeepsAckedWrites) {
 }
 
 TEST(CrashRecoveryTest, RaftRestartDuringElection) {
-  harness::RaftCluster cluster(config_with_seed(22),
-                               std::make_shared<object::RegisterObject>());
+  harness::StackCluster<raft::RaftReplica> cluster(
+      config_with_seed(22), std::make_shared<object::RegisterObject>());
   ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   const int old_leader = cluster.leader();
   const auto old_term = cluster.replica(old_leader).term();
@@ -124,7 +122,7 @@ TEST(CrashRecoveryTest, RaftRestartDuringElection) {
   cluster.sim().crash(ProcessId(old_leader));
   // Long enough for election timeouts to fire so the restart lands mid- or
   // post-election, not in a quiet cluster.
-  cluster.run_for(cluster.raft_config().election_timeout_max * 2);
+  cluster.run_for(cluster.stack_config().election_timeout_max * 2);
   cluster.restart(old_leader);
   // currentTerm was synced before the old incarnation ever voted, so the
   // replay cannot regress below it — the restarted node must not disrupt
@@ -141,10 +139,10 @@ TEST(CrashRecoveryTest, RaftRestartDuringElection) {
 // --- VR --------------------------------------------------------------------
 
 TEST(CrashRecoveryTest, VrFollowerRecoversViaNonceProtocol) {
-  harness::VrCluster cluster(config_with_seed(31),
-                             std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(10)));
-  const int primary = cluster.primary();
+  harness::StackCluster<vr::VrReplica> cluster(
+      config_with_seed(31), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  const int primary = cluster.leader();
   cluster.submit(primary, object::RegisterObject::write("replicated"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 
@@ -166,16 +164,16 @@ TEST(CrashRecoveryTest, VrFollowerRecoversViaNonceProtocol) {
       cluster.sim().now() + Duration::seconds(30));
   EXPECT_TRUE(recovered) << "nonce recovery never completed";
 
-  cluster.submit(cluster.primary(), object::RegisterObject::read());
+  cluster.submit(cluster.leader(), object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
   EXPECT_EQ(*cluster.history().ops().back().response, "replicated");
 }
 
 TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
-  harness::VrCluster cluster(config_with_seed(32),
-                             std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(10)));
-  const int old_primary = cluster.primary();
+  harness::StackCluster<vr::VrReplica> cluster(
+      config_with_seed(32), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  const int old_primary = cluster.leader();
   cluster.submit(old_primary, object::RegisterObject::write("v0"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 
@@ -184,10 +182,10 @@ TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
   // power the old primary back up while it is (or was just) in flight. Its
   // recovery must wait out the view change: responses only come from
   // normal-status replicas, so it rejoins in the new view, not the old one.
-  cluster.run_for(cluster.vr_config().view_change_timeout * 2);
+  cluster.run_for(cluster.stack_config().view_change_timeout * 2);
   cluster.restart(old_primary);
 
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(30)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(30)));
   const bool rejoined = cluster.sim().run_until(
       [&] {
         return cluster.replica(old_primary).status() ==
@@ -197,7 +195,7 @@ TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
   EXPECT_TRUE(rejoined);
   EXPECT_GT(cluster.replica(old_primary).view(), 0);
 
-  cluster.submit(cluster.primary(), object::RegisterObject::read());
+  cluster.submit(cluster.leader(), object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
   EXPECT_EQ(*cluster.history().ops().back().response, "v0");
 }

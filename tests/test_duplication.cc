@@ -7,18 +7,18 @@
 
 #include "checker/linearizability.h"
 #include "core/replica.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
 TEST(DuplicationTest, LinearizableUnderDuplication) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    ClusterConfig config;
+    CommonConfig config;
     config.n = 5;
     config.seed = seed;
     config.delta = Duration::millis(10);
@@ -81,7 +81,7 @@ TEST(DuplicationTest, LinearizableUnderDuplication) {
 }
 
 TEST(DuplicationTest, RmwRespondsExactlyOnce) {
-  ClusterConfig config;
+  CommonConfig config;
   config.n = 5;
   config.seed = 77;
   config.delta = Duration::millis(10);

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "baselines/megastore_chubby.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/register_object.h"
 
 namespace cht {
@@ -104,14 +104,15 @@ TEST(MegastoreChubbyTest, OurAlgorithmHasNoSuchDependency) {
   // Same shape of failure against our algorithm: one replica crashes, the
   // leader is NOT cut off from anything it depends on (there is no Chubby);
   // the write completes after the self-timed lease-expiry wait.
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 5;
   config.delta = Duration::millis(10);
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   cluster.sim().crash(ProcessId((leader + 1) % cluster.n()));
   cluster.submit((leader + 2) % cluster.n(),
                  object::RegisterObject::write("completes"));

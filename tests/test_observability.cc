@@ -19,7 +19,7 @@
 #include <string>
 
 #include "common/experiment.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "metrics/json.h"
 #include "metrics/registry.h"
 #include "metrics/stats.h"
@@ -48,7 +48,7 @@ std::string render_fixed_artifact(const std::string& path) {
   result.metric("ops_total", static_cast<std::int64_t>(42));
   result.metric("ratio", 1.5);
 
-  harness::ClusterConfig cluster;
+  harness::CommonConfig cluster;
   cluster.n = 5;
   cluster.seed = 7;
   cluster.delta = Duration::millis(10);
@@ -107,10 +107,10 @@ TEST(ObservabilityTest, ArtifactMatchesGoldenSchema) {
 }
 
 // Drives the same deterministic workload on one cluster.
-void drive(harness::Cluster& cluster) {
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+void drive(harness::StackCluster<core::Replica>& cluster) {
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   for (int i = 0; i < 40; ++i) {
     cluster.submit((leader + 1) % cluster.n(),
                    object::KVObject::put("k" + std::to_string(i % 3),
@@ -124,16 +124,17 @@ void drive(harness::Cluster& cluster) {
 }
 
 TEST(ObservabilityTest, MetricsCannotPerturbTheSimulation) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 99;
   config.delta = Duration::millis(10);
 
-  harness::Cluster with_metrics(config, std::make_shared<object::KVObject>());
+  harness::StackCluster<core::Replica> with_metrics(
+      config, std::make_shared<object::KVObject>());
   core::ConfigOverrides off;
   off.metrics_enabled = false;
-  harness::Cluster without_metrics(config, std::make_shared<object::KVObject>(),
-                                   off);
+  harness::StackCluster<core::Replica> without_metrics(
+      config, std::make_shared<object::KVObject>(), off);
   drive(with_metrics);
   drive(without_metrics);
 
@@ -166,14 +167,15 @@ TEST(ObservabilityTest, MetricsCannotPerturbTheSimulation) {
 }
 
 TEST(ObservabilityTest, SteadyRunPopulatesProtocolPhaseSpans) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 5;
   config.delta = Duration::millis(10);
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   for (int i = 0; i < 30; ++i) {
     cluster.submit((leader + 1) % cluster.n(),
                    object::RegisterObject::write("v" + std::to_string(i)));

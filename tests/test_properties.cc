@@ -16,15 +16,15 @@
 
 #include "checker/linearizability.h"
 #include "common/rng.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/bank_object.h"
 #include "object/kv_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
 struct PropertyCase {
   std::uint64_t seed;
@@ -79,7 +79,7 @@ class RandomWorkloadTest : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(RandomWorkloadTest, LinearizableAndInvariantsHold) {
   const PropertyCase param = GetParam();
-  ClusterConfig config;
+  CommonConfig config;
   config.n = 5;
   config.seed = param.seed;
   config.delta = Duration::millis(10);
@@ -128,7 +128,7 @@ TEST_P(RandomWorkloadTest, LinearizableAndInvariantsHold) {
     cluster.run_for(Duration::millis(pre_gst ? rng.next_in(40, 120)
                                              : rng.next_in(1, 30)));
     if (param.crash_leader && !crashed_one && step == 60) {
-      const int leader = cluster.steady_leader();
+      const int leader = cluster.leader();
       if (leader >= 0) {
         cluster.sim().crash(ProcessId(leader));
         crashed_one = true;
@@ -245,12 +245,12 @@ class ReadLocalityTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReadLocalityTest, MessagesIndependentOfReadCount) {
   auto run = [&](int reads_per_step) {
-    ClusterConfig config;
+    CommonConfig config;
     config.n = 5;
     config.seed = GetParam();
     config.delta = Duration::millis(10);
     Cluster cluster(config, std::make_shared<object::BankObject>());
-    EXPECT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+    EXPECT_TRUE(cluster.await_leader(Duration::seconds(5)));
     cluster.run_for(Duration::seconds(1));
     const auto before = cluster.sim().network().stats().sent;
     for (int step = 0; step < 20; ++step) {

@@ -4,18 +4,18 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/raft_cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::ClusterConfig;
-using harness::RaftCluster;
+using harness::CommonConfig;
+using RaftCluster = harness::StackCluster<raft::RaftReplica>;
 
-ClusterConfig base_config(std::uint64_t seed = 3) {
-  ClusterConfig config;
+CommonConfig base_config(std::uint64_t seed = 3) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);

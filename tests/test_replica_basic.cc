@@ -5,18 +5,18 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig small_cluster() {
-  ClusterConfig config;
+CommonConfig small_cluster() {
+  CommonConfig config;
   config.n = 5;
   config.seed = 7;
   config.delta = Duration::millis(10);
@@ -27,8 +27,8 @@ ClusterConfig small_cluster() {
 
 TEST(ReplicaBasicTest, ElectsASteadyLeader) {
   Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  const int leader = cluster.steady_leader();
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  const int leader = cluster.leader();
   ASSERT_GE(leader, 0);
   // Exactly one steady leader.
   int count = 0;
@@ -40,7 +40,7 @@ TEST(ReplicaBasicTest, ElectsASteadyLeader) {
 
 TEST(ReplicaBasicTest, CommitsAnRmwAndRespondsOnce) {
   Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(1, object::RegisterObject::write("hello"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   EXPECT_EQ(cluster.completed(), 1u);
@@ -50,11 +50,11 @@ TEST(ReplicaBasicTest, CommitsAnRmwAndRespondsOnce) {
 
 TEST(ReplicaBasicTest, ReadSeesCommittedWrite) {
   Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(1, object::RegisterObject::write("v1"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   // Let the new batch's lease propagate so every process can read it.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.stack_config().lease_renew_interval * 3);
   for (int i = 0; i < cluster.n(); ++i) {
     cluster.submit(i, object::RegisterObject::read());
   }
@@ -68,7 +68,7 @@ TEST(ReplicaBasicTest, ReadSeesCommittedWrite) {
 
 TEST(ReplicaBasicTest, AllReplicasConvergeToSameState) {
   Cluster cluster(small_cluster(), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int i = 0; i < 20; ++i) {
     cluster.submit(i % cluster.n(),
                    object::KVObject::put("k" + std::to_string(i % 4),
@@ -88,7 +88,7 @@ TEST(ReplicaBasicTest, AllReplicasConvergeToSameState) {
 
 TEST(ReplicaBasicTest, HistoryIsLinearizable) {
   Cluster cluster(small_cluster(), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < cluster.n(); ++i) {
       if ((round + i) % 3 == 0) {
@@ -109,9 +109,9 @@ TEST(ReplicaBasicTest, HistoryIsLinearizable) {
 
 TEST(ReplicaBasicTest, LeaderReadsAreNonBlocking) {
   Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));  // fully stabilized
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   ASSERT_GE(leader, 0);
   auto& metrics = cluster.replica(leader).metrics();
   const auto blocked_before = metrics.value("reads_blocked");
@@ -126,9 +126,9 @@ TEST(ReplicaBasicTest, LeaderReadsAreNonBlocking) {
 
 TEST(ReplicaBasicTest, FollowerReadsAreNonBlockingWithoutConflicts) {
   Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   int blocked = 0;
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < cluster.n(); ++i) {

@@ -5,18 +5,18 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig config_with_seed(std::uint64_t seed) {
-  ClusterConfig config;
+CommonConfig config_with_seed(std::uint64_t seed) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -25,21 +25,21 @@ ClusterConfig config_with_seed(std::uint64_t seed) {
 
 TEST(FailoverTest, NewLeaderElectedAfterCrash) {
   Cluster cluster(config_with_seed(1), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  const int old_leader = cluster.steady_leader();
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  const int old_leader = cluster.leader();
   cluster.sim().crash(ProcessId(old_leader));
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
-  EXPECT_NE(cluster.steady_leader(), old_leader);
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  EXPECT_NE(cluster.leader(), old_leader);
 }
 
 TEST(FailoverTest, CommittedDataSurvivesLeaderCrash) {
   Cluster cluster(config_with_seed(2), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(1, object::KVObject::put("k", "must-survive"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  const int old_leader = cluster.steady_leader();
+  const int old_leader = cluster.leader();
   cluster.sim().crash(ProcessId(old_leader));
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   const int reader = (old_leader + 1) % cluster.n();
   cluster.submit(reader, object::KVObject::get("k"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
@@ -52,8 +52,8 @@ TEST(FailoverTest, CrashMidCommitResolvesHalfDoneBatch) {
   for (int crash_after_ms : {0, 2, 5, 8, 12, 20}) {
     Cluster cluster(config_with_seed(100 + crash_after_ms),
                     std::make_shared<object::KVObject>());
-    ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-    const int leader = cluster.steady_leader();
+    ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+    const int leader = cluster.leader();
     const int submitter = (leader + 1) % cluster.n();
     cluster.submit(submitter, object::KVObject::put("k", "v"));
     cluster.run_for(Duration::millis(crash_after_ms));
@@ -84,9 +84,9 @@ TEST(FailoverTest, CrashMidCommitResolvesHalfDoneBatch) {
 
 TEST(FailoverTest, ToleratesMinorityCrashes) {
   Cluster cluster(config_with_seed(3), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   // Crash two of five (the largest tolerable minority), including the leader.
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   cluster.sim().crash(ProcessId(leader));
   cluster.sim().crash(ProcessId((leader + 1) % cluster.n()));
   const int survivor = (leader + 2) % cluster.n();
@@ -101,7 +101,7 @@ TEST(FailoverTest, MajorityCrashLosesOnlyLiveness) {
   // The paper's robustness claim: if a majority crashes, operations may not
   // terminate but never return incorrect results.
   Cluster cluster(config_with_seed(4), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(0, object::KVObject::put("k", "before"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   for (int i = 0; i < 3; ++i) cluster.sim().crash(ProcessId(i));
@@ -119,9 +119,9 @@ TEST(FailoverTest, MajorityCrashLosesOnlyLiveness) {
 TEST(FailoverTest, ChainOfLeaderCrashes) {
   Cluster cluster(config_with_seed(5), std::make_shared<object::KVObject>());
   for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(20)))
+    ASSERT_TRUE(cluster.await_leader(Duration::seconds(20)))
         << "round " << round;
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     int submitter = -1;
     for (int i = 0; i < cluster.n(); ++i) {
       if (i != leader && !cluster.replica(i).crashed()) {
@@ -144,8 +144,8 @@ TEST(FailoverTest, ChainOfLeaderCrashes) {
 
 TEST(FailoverTest, IsolatedOldLeaderCannotCommit) {
   Cluster cluster(config_with_seed(6), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
-  const int old_leader = cluster.steady_leader();
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
+  const int old_leader = cluster.leader();
   // Partition the leader away (it is alive but cut off) — note this
   // violates the post-GST assumption on purpose.
   cluster.sim().network().set_process_isolated(ProcessId(old_leader), true,
@@ -155,7 +155,7 @@ TEST(FailoverTest, IsolatedOldLeaderCannotCommit) {
   int new_leader = -1;
   ASSERT_TRUE(cluster.sim().run_until(
       [&] {
-        new_leader = cluster.steady_leader();
+        new_leader = cluster.leader();
         return new_leader >= 0 && new_leader != old_leader;
       },
       cluster.sim().now() + Duration::seconds(20)));

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/counter_object.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
@@ -13,11 +13,11 @@
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig lease_config(std::uint64_t seed = 21) {
-  ClusterConfig config;
+CommonConfig lease_config(std::uint64_t seed = 21) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -29,9 +29,9 @@ ClusterConfig lease_config(std::uint64_t seed = 21) {
 // most 3*delta (paper Section 3, "Non-blocking reads").
 TEST(LeaseTest, BlockedReadsBoundedBy3Delta) {
   Cluster cluster(lease_config(), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
   // Fire writes continuously and interleave follower reads so that many
   // reads observe a pending conflicting batch. (Moderate count and spacing:
@@ -65,9 +65,9 @@ TEST(LeaseTest, BlockedReadsBoundedBy3Delta) {
 // commit too), forcing a wait of at most ~delta for that batch to arrive.
 TEST(LeaseTest, NonConflictingReadsAlmostNeverBlock) {
   Cluster cluster(lease_config(22), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
   int blocked = 0;
   for (int i = 0; i < 100; ++i) {
@@ -96,9 +96,9 @@ TEST(LeaseTest, NonConflictingReadsAlmostNeverBlock) {
 // conflicts via the transition function, per the paper's definition).
 TEST(LeaseTest, SemanticConflictsCounterParity) {
   Cluster cluster(lease_config(23), std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
   int blocked = 0;
   for (int i = 0; i < 50; ++i) {
@@ -131,9 +131,9 @@ TEST(LeaseTest, SemanticConflictsCounterParity) {
 // subsequent writes commit at full speed.
 TEST(LeaseTest, CrashedLeaseholderDelaysWritesAtMostOnce) {
   Cluster cluster(lease_config(24), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int victim = (leader + 1) % cluster.n();
   const int submitter = (leader + 2) % cluster.n();
   cluster.sim().crash(ProcessId(victim));
@@ -153,9 +153,9 @@ TEST(LeaseTest, CrashedLeaseholderDelaysWritesAtMostOnce) {
     ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(20)));
     worst_later = std::max(worst_later, cluster.sim().now() - t);
   }
-  EXPECT_GT(first_write, cluster.core_config().lease_period)
+  EXPECT_GT(first_write, cluster.stack_config().lease_period)
       << "first write should wait out the victim's lease";
-  EXPECT_LT(worst_later, cluster.core_config().lease_period / 2)
+  EXPECT_LT(worst_later, cluster.stack_config().lease_period / 2)
       << "later writes must not wait for the crashed leaseholder again";
   EXPECT_FALSE(
       cluster.replica(leader).snapshot().leaseholders.contains(victim));
@@ -165,9 +165,9 @@ TEST(LeaseTest, CrashedLeaseholderDelaysWritesAtMostOnce) {
 // rejoins via LeaseRequest and serves local reads again.
 TEST(LeaseTest, DroppedLeaseholderReintegrates) {
   Cluster cluster(lease_config(25), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int victim = (leader + 1) % cluster.n();
   const int submitter = (leader + 2) % cluster.n();
   // Cut the victim off long enough to miss a Prepare round.
@@ -186,7 +186,7 @@ TEST(LeaseTest, DroppedLeaseholderReintegrates) {
       },
       deadline));
   // And it can serve a fresh local read.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.stack_config().lease_renew_interval * 3);
   const auto blocked_before =
       cluster.replica(victim).metrics().value("reads_blocked");
   cluster.submit(victim, object::RegisterObject::read());
@@ -200,14 +200,14 @@ TEST(LeaseTest, DroppedLeaseholderReintegrates) {
 // reads!) until a new leader issues fresh leases.
 TEST(LeaseTest, ReadsBlockWhileLeaderlessThenRecover) {
   Cluster cluster(lease_config(26), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(0, object::RegisterObject::write("v"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   cluster.sim().crash(ProcessId(leader));
   // Wait until every lease has surely expired but (likely) before a new
   // leader finished initializing.
-  cluster.run_for(cluster.core_config().lease_period +
+  cluster.run_for(cluster.stack_config().lease_period +
                   cluster.config().epsilon);
   const int reader = (leader + 1) % cluster.n();
   if (!cluster.replica(reader).is_steady_leader()) {
@@ -227,9 +227,9 @@ TEST(LeaseTest, ReadsBlockWhileLeaderlessThenRecover) {
 // Reads remain message-free even when they block on conflicting writes.
 TEST(LeaseTest, BlockedReadsSendNoMessages) {
   Cluster cluster(lease_config(27), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
 
   // Baseline traffic over a quiet window with writes only.

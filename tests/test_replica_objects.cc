@@ -7,7 +7,7 @@
 
 #include "checker/linearizability.h"
 #include "common/rng.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/bank_object.h"
 #include "object/counter_object.h"
 #include "object/kv_object.h"
@@ -18,11 +18,11 @@
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig base_config(std::uint64_t seed) {
-  ClusterConfig config;
+CommonConfig base_config(std::uint64_t seed) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -35,7 +35,7 @@ void run_and_check(std::shared_ptr<const object::ObjectModel> model,
                    const std::function<object::Operation(Rng&, int)>& next_op,
                    int steps = 60) {
   Cluster cluster(base_config(seed), model);
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
   Rng rng(seed * 97 + 3);
   for (int step = 0; step < steps; ++step) {

@@ -7,17 +7,17 @@
 
 #include "checker/linearizability.h"
 #include "core/replica.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::ClusterConfig;
+using harness::CommonConfig;
 
-ClusterConfig base(std::uint64_t seed) {
-  ClusterConfig c;
+CommonConfig base(std::uint64_t seed) {
+  CommonConfig c;
   c.n = 5;
   c.seed = seed;
   c.delta = Duration::millis(10);
@@ -25,14 +25,14 @@ ClusterConfig base(std::uint64_t seed) {
 }
 
 TEST(PolicyTest, LeaderForwardReadsAreCorrectButNotLocal) {
-  harness::Cluster cluster(
+  harness::StackCluster<core::Replica> cluster(
       base(31), std::make_shared<object::RegisterObject>(),
       core::ConfigOverrides{.read_policy = core::ReadPolicy::kLeaderForward});
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
   cluster.submit(0, object::RegisterObject::write("v"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
   const auto before = cluster.sim().network().stats().sent_of(
       core::msg::kReadRequest);
@@ -52,13 +52,13 @@ TEST(PolicyTest, LeaderForwardReadsAreCorrectButNotLocal) {
 TEST(PolicyTest, AnyPendingBlocksIsConflictBlind) {
   // Under kAnyPendingBlocks, a read on a *different* key still blocks when a
   // write is in flight (PQL-style), unlike the paper's algorithm.
-  harness::Cluster cluster(
+  harness::StackCluster<core::Replica> cluster(
       base(32), std::make_shared<object::KVObject>(),
       core::ConfigOverrides{.read_policy =
                                 core::ReadPolicy::kAnyPendingBlocks});
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
   int blocked = 0;
   for (int i = 0; i < 50; ++i) {
@@ -78,12 +78,12 @@ TEST(PolicyTest, AnyPendingBlocksIsConflictBlind) {
 TEST(PolicyTest, AllAckGatePaysForCrashedProcessEveryWrite) {
   // Megastore-style: no leaseholder-set memory. Every write after the crash
   // pays the full invalidation wait.
-  harness::Cluster cluster(
+  harness::StackCluster<core::Replica> cluster(
       base(33), std::make_shared<object::RegisterObject>(),
       core::ConfigOverrides{.commit_gate = core::CommitGate::kAllProcesses});
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   cluster.sim().crash(ProcessId((leader + 1) % cluster.n()));
   const int submitter = (leader + 2) % cluster.n();
   for (int i = 0; i < 3; ++i) {
@@ -93,23 +93,24 @@ TEST(PolicyTest, AllAckGatePaysForCrashedProcessEveryWrite) {
     const Duration took = cluster.sim().now() - t;
     // The expiry wait is max(t, ts_last_lease) + LeasePeriod + eps, and the
     // last grant may predate the write by up to a renewal interval.
-    EXPECT_GT(took, cluster.core_config().lease_period -
-                        2 * cluster.core_config().lease_renew_interval)
+    EXPECT_GT(took, cluster.stack_config().lease_period -
+                        2 * cluster.stack_config().lease_renew_interval)
         << "write " << i << " should wait out the crashed process every time";
   }
 }
 
 TEST(PolicyTest, CommitWaitAddsEpsilonToEveryWrite) {
   const Duration wait = Duration::millis(25);
-  harness::Cluster cluster(base(34), std::make_shared<object::RegisterObject>(),
-                           core::ConfigOverrides{.commit_wait = wait});
-  harness::Cluster baseline(base(34),
-                            std::make_shared<object::RegisterObject>());
+  harness::StackCluster<core::Replica> cluster(
+      base(34), std::make_shared<object::RegisterObject>(),
+      core::ConfigOverrides{.commit_wait = wait});
+  harness::StackCluster<core::Replica> baseline(
+      base(34), std::make_shared<object::RegisterObject>());
   for (auto* c : {&cluster, &baseline}) {
-    ASSERT_TRUE(c->await_steady_leader(Duration::seconds(5)));
+    ASSERT_TRUE(c->await_leader(Duration::seconds(5)));
     c->run_for(Duration::seconds(1));
   }
-  auto write_latency = [](harness::Cluster& c) {
+  auto write_latency = [](harness::StackCluster<core::Replica>& c) {
     const RealTime t = c.sim().now();
     c.submit(1, object::RegisterObject::write("x"));
     EXPECT_TRUE(c.await_quiesce(Duration::seconds(10)));
@@ -125,12 +126,12 @@ TEST(PolicyTest, CommitWaitAddsEpsilonToEveryWrite) {
 TEST(PolicyTest, SafeTimeReadsBlockEvenWithoutWrites) {
   // Spanner option (b): a read waits for the next safe-time beacon past its
   // timestamp — so follower reads always block, even on an idle object.
-  harness::Cluster cluster(
+  harness::StackCluster<core::Replica> cluster(
       base(36), std::make_shared<object::RegisterObject>(),
       core::ConfigOverrides{.read_policy = core::ReadPolicy::kSafeTime});
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int follower = (leader + 1) % cluster.n();
   cluster.submit(leader, object::RegisterObject::write("v"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
@@ -157,12 +158,12 @@ TEST(PolicyTest, UnsafeLocalReadsViolateLinearizability) {
   // catches. Scan seeds until the race materializes (deterministically).
   bool violation_found = false;
   for (std::uint64_t seed = 1; seed <= 20 && !violation_found; ++seed) {
-    harness::Cluster cluster(
+    harness::StackCluster<core::Replica> cluster(
         base(seed), std::make_shared<object::RegisterObject>(),
         core::ConfigOverrides{.read_policy = core::ReadPolicy::kUnsafeLocal});
-    if (!cluster.await_steady_leader(Duration::seconds(5))) continue;
+    if (!cluster.await_leader(Duration::seconds(5))) continue;
     cluster.run_for(Duration::seconds(1));
-    const int leader = cluster.steady_leader();
+    const int leader = cluster.leader();
     const int follower = (leader + 1) % cluster.n();
     for (int i = 0; i < 40; ++i) {
       cluster.submit(leader, object::RegisterObject::write(std::to_string(i)));

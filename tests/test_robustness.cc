@@ -8,17 +8,17 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig robust_config(std::uint64_t seed) {
-  ClusterConfig config;
+CommonConfig robust_config(std::uint64_t seed) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -37,14 +37,14 @@ ClusterConfig robust_config(std::uint64_t seed) {
 // under broken clocks — while the RMW sub-history stays linearizable.
 TEST(RobustnessTest, SlowClockYieldsStaleReadsButRmwsStayLinearizable) {
   Cluster cluster(robust_config(51), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int victim = (leader + 1) % cluster.n();
   // Seed a value everyone has applied.
   cluster.submit(leader, object::RegisterObject::write("old"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.stack_config().lease_renew_interval * 3);
 
   // Break the model: freeze the victim's clock (maximally slow) and cut it
   // off so it misses the Prepares/Commits that would update it.
@@ -76,9 +76,9 @@ TEST(RobustnessTest, SlowClockYieldsStaleReadsButRmwsStayLinearizable) {
 // wrong values, and they complete once synchrony is restored.
 TEST(RobustnessTest, FastClockStallsReadsUntilResync) {
   Cluster cluster(robust_config(52), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
-  const int leader = cluster.steady_leader();
+  const int leader = cluster.leader();
   const int victim = (leader + 1) % cluster.n();
   cluster.submit(leader, object::RegisterObject::write("current"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));

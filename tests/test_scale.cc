@@ -5,20 +5,20 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
 class ScaleTest : public ::testing::TestWithParam<int> {};
 
-ClusterConfig config_for(int n, std::uint64_t seed = 5) {
-  ClusterConfig config;
+CommonConfig config_for(int n, std::uint64_t seed = 5) {
+  CommonConfig config;
   config.n = n;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -28,7 +28,7 @@ ClusterConfig config_for(int n, std::uint64_t seed = 5) {
 TEST_P(ScaleTest, ElectsOneLeaderCommitsAndReads) {
   const int n = GetParam();
   Cluster cluster(config_for(n), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   int leaders = 0;
   for (int i = 0; i < n; ++i) {
     if (cluster.replica(i).is_steady_leader()) ++leaders;
@@ -36,7 +36,7 @@ TEST_P(ScaleTest, ElectsOneLeaderCommitsAndReads) {
   EXPECT_EQ(leaders, 1);
   cluster.submit(0, object::RegisterObject::write("v"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.stack_config().lease_renew_interval * 3);
   for (int i = 0; i < n; ++i) {
     cluster.submit(i, object::RegisterObject::read());
   }
@@ -53,7 +53,7 @@ TEST_P(ScaleTest, ToleratesMaxMinorityCrashes) {
   const int tolerable = (n - 1) / 2;
   if (tolerable == 0) GTEST_SKIP() << "n too small to crash anyone";
   Cluster cluster(config_for(n, 6), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   for (int i = 0; i < tolerable; ++i) cluster.sim().crash(ProcessId(i));
   cluster.submit(n - 1, object::KVObject::put("k", "survives"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(60)));
@@ -68,7 +68,7 @@ TEST_P(ScaleTest, ToleratesMaxMinorityCrashes) {
 TEST_P(ScaleTest, LinearizableMixedWorkload) {
   const int n = GetParam();
   Cluster cluster(config_for(n, 8), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
   for (int step = 0; step < 12 * n; ++step) {
     const int proc = step % n;
     if (step % 4 == 0) {

@@ -6,18 +6,18 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
 namespace cht {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using Cluster = harness::StackCluster<core::Replica>;
+using harness::CommonConfig;
 
-ClusterConfig chaotic_config(std::uint64_t seed) {
-  ClusterConfig config;
+CommonConfig chaotic_config(std::uint64_t seed) {
+  CommonConfig config;
   config.n = 5;
   config.seed = seed;
   config.delta = Duration::millis(10);
@@ -73,7 +73,7 @@ TEST(StabilizationTest, ReadsBecomeNonBlockingAfterGst) {
 }
 
 TEST(StabilizationTest, LinearizableUnderHeavyPreGstLoss) {
-  ClusterConfig config = chaotic_config(43);
+  CommonConfig config = chaotic_config(43);
   config.pre_gst_loss = 0.4;
   Cluster cluster(config, std::make_shared<object::KVObject>());
   for (int i = 0; i < 15; ++i) {
@@ -93,7 +93,7 @@ TEST(StabilizationTest, LinearizableUnderHeavyPreGstLoss) {
 TEST(StabilizationTest, PermanentAsynchronyLosesOnlyLiveness) {
   // GST never arrives: liveness is not guaranteed, but whatever completes is
   // correct (the paper's robustness claim for unmet timing assumptions).
-  ClusterConfig config = chaotic_config(44);
+  CommonConfig config = chaotic_config(44);
   config.gst = RealTime::max();
   config.pre_gst_loss = 0.5;
   config.pre_gst_delay_max = Duration::seconds(1);

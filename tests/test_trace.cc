@@ -6,7 +6,7 @@
 #include <memory>
 #include <sstream>
 
-#include "harness/cluster.h"
+#include "harness/stack_cluster.h"
 #include "object/register_object.h"
 
 namespace cht {
@@ -60,13 +60,14 @@ TEST(TraceTest, DumpFiltersAndLimits) {
 }
 
 TEST(TraceTest, ClusterProtocolEventsRecorded) {
-  harness::ClusterConfig config;
+  harness::CommonConfig config;
   config.n = 5;
   config.seed = 4;
   config.delta = Duration::millis(10);
-  harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
+  harness::StackCluster<core::Replica> cluster(
+      config, std::make_shared<object::RegisterObject>());
   cluster.sim().trace().enable();
-  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(1, object::RegisterObject::write("x"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   int become = 0, commit = 0, grant = 0;

@@ -27,7 +27,9 @@
 // (profile, object) combination — schema cht.bench.v1, same as the benches.
 //
 // Exit status: 0 if every run passed (or a --repro replay reproduced its
-// recorded fingerprint), 1 otherwise.
+// recorded fingerprint); 1 if any run failed (or a replay diverged); 2 on a
+// usage error or an unreadable artifact; 3 if no run failed but some were
+// undecided (the checker's --check-budget ran out before a verdict).
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -290,12 +292,17 @@ int main(int argc, char** argv) {
               << " runs undecided (checker state budget exhausted; rerun with "
                  "a larger --check-budget or smaller --max-inflight)\n";
   }
-  std::cout << (total_failures == 0 ? "all runs passed"
-                                    : std::to_string(total_failures) +
-                                          " runs FAILED")
-            << "\n";
-
-  int exit_code = total_failures == 0 ? 0 : 1;
+  // A run the checker could not decide is a gap, never a pass.
+  int exit_code = 0;
+  if (total_failures > 0) {
+    std::cout << total_failures << " runs FAILED\n";
+    exit_code = 1;
+  } else if (total_undecided > 0) {
+    std::cout << total_undecided << " runs undecided\n";
+    exit_code = 3;
+  } else {
+    std::cout << "all runs passed\n";
+  }
   if (!options.metrics_out.empty()) {
     result.metric("total_failures", std::int64_t{total_failures});
     result.metric("total_undecided", std::int64_t{total_undecided});

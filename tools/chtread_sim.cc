@@ -23,9 +23,7 @@
 #include "checker/linearizability.h"
 #include "common/experiment.h"
 #include "common/rng.h"
-#include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
+#include "harness/stack_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 #include "object/kv_object.h"
@@ -103,8 +101,8 @@ Options parse(int argc, char** argv) {
   return options;
 }
 
-harness::ClusterConfig cluster_config(const Options& options) {
-  harness::ClusterConfig config;
+harness::CommonConfig cluster_config(const Options& options) {
+  harness::CommonConfig config;
   config.n = options.n;
   config.seed = options.seed;
   config.delta = Duration::millis(options.delta_ms);
@@ -120,10 +118,10 @@ double read_fraction(const std::string& workload) {
   return 0.5;  // mixed
 }
 
-// Drives any harness exposing submit/run_for/await_quiesce/sim/history.
-template <class ClusterT>
-int drive(ClusterT& cluster, const Options& options,
-          const std::function<int()>& leader_of) {
+// Drives any stack's cluster through the scenario and reports it.
+template <class R>
+int drive(harness::StackCluster<R>& cluster, const Options& options) {
+  cluster.await_leader(Duration::seconds(30));
   if (options.trace > 0) {
     // Record protocol-level events only (network tracing would dwarf them).
     cluster.sim().trace().enable(/*include_network=*/false);
@@ -134,7 +132,7 @@ int drive(ClusterT& cluster, const Options& options,
   for (int i = 0; i < options.ops; ++i) {
     const int proc = static_cast<int>(rng.next_below(
         static_cast<std::uint64_t>(options.n)));
-    if (cluster.replica(proc).crashed()) continue;
+    if (cluster.crashed(proc)) continue;
     if (rng.next_double() < reads) {
       cluster.submit(proc, object::KVObject::get(
                                "k" + std::to_string(rng.next_in(0, 3))));
@@ -147,7 +145,7 @@ int drive(ClusterT& cluster, const Options& options,
     if (!crashed && options.crash_leader_at_ms >= 0 &&
         cluster.sim().now() >=
             RealTime::zero() + Duration::millis(options.crash_leader_at_ms)) {
-      const int leader = leader_of();
+      const int leader = cluster.leader();
       if (leader >= 0) {
         std::cout << "[crash] killing leader p" << leader << " at "
                   << cluster.sim().now().to_millis_f() << " ms\n";
@@ -210,11 +208,7 @@ int drive(ClusterT& cluster, const Options& options,
                                          .to_micros());
   result.latency("reads", read_lat);
   result.latency("rmws", write_lat);
-  if constexpr (requires { cluster.overrides(); }) {
-    result.config(options.protocol, cluster.config(), cluster.overrides());
-  } else {
-    result.config(options.protocol, cluster.config());
-  }
+  result.config(options.protocol, cluster);
   result.observe(options.protocol, cluster);
 
   if (!quiesced) {
@@ -256,22 +250,21 @@ int main(int argc, char** argv) {
     } else if (options.reads == "core-anypending") {
       overrides.read_policy = core::ReadPolicy::kAnyPendingBlocks;
     }
-    harness::Cluster cluster(cluster_config(options), model, overrides);
-    cluster.await_steady_leader(Duration::seconds(30));
-    return drive(cluster, options, [&] { return cluster.steady_leader(); });
+    harness::StackCluster<core::Replica> cluster(cluster_config(options), model,
+                                                 overrides);
+    return drive(cluster, options);
   }
   if (options.protocol == "raft") {
-    const raft::ReadMode mode = options.reads == "raft-lease"
-                                    ? raft::ReadMode::kLeaderLease
-                                    : raft::ReadMode::kReadIndex;
-    harness::RaftCluster cluster(cluster_config(options), model, mode);
-    cluster.await_leader(Duration::seconds(30));
-    return drive(cluster, options, [&] { return cluster.leader(); });
+    harness::StackCluster<raft::RaftReplica> cluster(
+        cluster_config(options), model,
+        options.reads == "raft-lease" ? raft::ReadMode::kLeaderLease
+                                      : raft::ReadMode::kReadIndex);
+    return drive(cluster, options);
   }
   if (options.protocol == "vr") {
-    harness::VrCluster cluster(cluster_config(options), model);
-    cluster.await_primary(Duration::seconds(30));
-    return drive(cluster, options, [&] { return cluster.primary(); });
+    harness::StackCluster<vr::VrReplica> cluster(cluster_config(options),
+                                                 model);
+    return drive(cluster, options);
   }
   std::cerr << "unknown protocol: " << options.protocol << "\n";
   return 2;
