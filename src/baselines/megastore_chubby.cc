@@ -71,10 +71,6 @@ void MegastoreNode::keepalive_tick() {
   schedule_after(config_.keepalive_interval, [this] { keepalive_tick(); });
 }
 
-bool MegastoreNode::has_chubby_contact() const {
-  return lease_until_ > LocalTime::min();
-}
-
 void MegastoreNode::begin_write(std::set<int> non_ackers) {
   const std::int64_t seq = ++write_seq_;
   PendingWrite write;
@@ -105,7 +101,8 @@ void MegastoreNode::query_tick(std::int64_t write_seq) {
 
 void MegastoreNode::on_message(const sim::Message& message) {
   if (message.is(chubby_msg::kLeaseGrant)) {
-    lease_until_ = now_local() + message.as<chubby_msg::LeaseGrant>().ttl;
+    // Session renewed. Expiry is judged by the Chubby server when a writer
+    // queries it, so the node keeps no copy of its own lease.
   } else if (message.is(chubby_msg::kQueryReply)) {
     const auto& reply = message.as<chubby_msg::QueryReply>();
     auto mapped = query_to_write_.find(reply.query_id);

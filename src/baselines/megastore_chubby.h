@@ -108,8 +108,6 @@ class MegastoreNode : public sim::Process {
   // link via Network::set_link_down models full disconnection).
   void stop_keepalives() { keepalives_enabled_ = false; }
 
-  bool has_chubby_contact() const;
-
  private:
   struct PendingWrite {
     std::set<int> awaiting_invalidation;
@@ -122,7 +120,6 @@ class MegastoreNode : public sim::Process {
   ProcessId chubby_;
   ChubbyConfig config_;
   bool keepalives_enabled_ = true;
-  LocalTime lease_until_ = LocalTime::min();
   std::int64_t query_seq_ = 0;
   std::int64_t write_seq_ = 0;
   std::map<std::int64_t, PendingWrite> pending_;

@@ -29,7 +29,6 @@ void PqlProcess::renewal_tick() {
   // round trips per (grantor, leaseholder) pair: the first to bound the
   // clockless skew, the second to activate the guarantee.
   ++round_;
-  ++stats_.renewals_started;
   storage().write("round", std::to_string(round_));
   // The round record is acceptor state: no Promise for round r may leave
   // before r is durable, so the broadcast rides the covering sync
@@ -49,14 +48,10 @@ bool PqlProcess::lease_active() {
     if (i == id().index()) continue;
     if (guarantee_expiry_[i] > now) ++active;
   }
-  const bool held = active > cluster_size() / 2;
-  if (held && clock_guard_.suspect()) {
-    // Degraded: the guarantees were measured on a clock the guard distrusts,
-    // so report the lease inactive and let callers take the quorum path.
-    ++stats_.lease_checks_degraded;
-    return false;
-  }
-  return held;
+  // Degraded while clock-suspect: the guarantees were measured on a clock
+  // the guard distrusts, so report the lease inactive and let callers take
+  // the quorum path.
+  return active > cluster_size() / 2 && !clock_guard_.suspect();
 }
 
 void PqlProcess::begin_write() {
@@ -97,9 +92,7 @@ void PqlProcess::maybe_finish_write() {
 }
 
 void PqlProcess::on_message(const sim::Message& message) {
-  if (clock_guard_.observe(message.sent_local, now_local(), now_real())) {
-    ++stats_.clock_suspect_transitions;
-  }
+  clock_guard_.observe(message.sent_local, now_local(), now_real());
   if (message.is(msg::kPromise)) {
     send(message.from, msg::kPromiseAck,
          msg::PromiseAck{message.as<msg::Promise>().round});
@@ -108,7 +101,6 @@ void PqlProcess::on_message(const sim::Message& message) {
     send(message.from, msg::kGuarantee,
          msg::Guarantee{message.as<msg::PromiseAck>().round});
   } else if (message.is(msg::kGuarantee)) {
-    ++stats_.guarantees_received;
     if (now_real() >= revoke_quiet_until_) {
       guarantee_expiry_[message.from.index()] =
           now_real() + config_.lease_duration;
@@ -118,7 +110,6 @@ void PqlProcess::on_message(const sim::Message& message) {
   } else if (message.is(msg::kGuaranteeAck)) {
     // Grantor bookkeeping only.
   } else if (message.is(msg::kRevoke)) {
-    ++stats_.revocations_received;
     // Drop every guarantee and ignore in-flight ones: reads stop being
     // local until the next full renewal completes.
     guarantee_expiry_.assign(cluster_size(), RealTime::min());

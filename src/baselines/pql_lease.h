@@ -101,16 +101,6 @@ class PqlProcess : public sim::Process {
   void begin_write();
   std::int64_t writes_completed() const { return writes_completed_; }
 
-  struct Stats {
-    std::int64_t renewals_started = 0;
-    std::int64_t guarantees_received = 0;
-    std::int64_t revocations_received = 0;
-    // Clock guard metering: suspect-state flips, and lease_active() calls
-    // that would have answered true but were degraded to false by suspicion.
-    std::int64_t clock_suspect_transitions = 0;
-    std::int64_t lease_checks_degraded = 0;
-  };
-  const Stats& stats() const { return stats_; }
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
 
  private:
@@ -138,7 +128,6 @@ class PqlProcess : public sim::Process {
   std::vector<PendingWrite> pending_writes_;
   std::int64_t writes_completed_ = 0;
 
-  Stats stats_;
   core::ClockSkewGuard clock_guard_;
 };
 

@@ -98,10 +98,12 @@ class StackAdapter final : public ClusterAdapter {
     return protocol_violations(name_, Traits::kEpochName, views);
   }
 
+  // Every stack counts leadership acquisitions (reigns, terms won, views
+  // led) as its registry's "became_leader".
   std::int64_t leadership_changes() override {
     std::int64_t total = 0;
     for (int i = 0; i < n(); ++i) {
-      total += Traits::leadership_changes(cluster_.replica(i));
+      total += cluster_.replica(i).metrics().value("became_leader");
     }
     return total;
   }

@@ -85,9 +85,6 @@ class Client : public sim::Process {
 
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
-  std::size_t inflight_plus_queued() const {
-    return (current_ ? 1 : 0) + queue_.size();
-  }
 
  private:
   struct Pending {

@@ -11,7 +11,7 @@ bool ReplicaGateway::handle(const sim::Message& message) {
       redirect(message.from, request.id);
       return true;
     }
-    if (metrics_) metrics_->add("gateway.reads");
+    metrics_.add("gateway.reads");
     const ProcessId from = message.from;
     const OperationId id = request.id;
     hooks_.submit_read(request.op, [this, from, id](std::string response) {
@@ -22,10 +22,10 @@ bool ReplicaGateway::handle(const sim::Message& message) {
 
   switch (sessions_.admit(request.id)) {
     case SessionTable::Admit::kStale:
-      if (metrics_) metrics_->add("gateway.stale_dropped");
+      metrics_.add("gateway.stale_dropped");
       return true;
     case SessionTable::Admit::kDuplicate:
-      if (metrics_) metrics_->add("gateway.dup_replies");
+      metrics_.add("gateway.dup_replies");
       reply(message.from, request.id, *sessions_.cached(request.id));
       return true;
     case SessionTable::Admit::kFresh:
@@ -35,7 +35,7 @@ bool ReplicaGateway::handle(const sim::Message& message) {
     redirect(message.from, request.id);
     return true;
   }
-  if (metrics_) metrics_->add("gateway.rmws");
+  metrics_.add("gateway.rmws");
   // Remember (or refresh) the waiter first: submit_rmw may apply and reply
   // synchronously in a single-replica cluster.
   rmw_waiters_[request.id.process.index()] = {request.id, message.from};
@@ -63,7 +63,7 @@ void ReplicaGateway::reply(ProcessId to, const OperationId& id,
 }
 
 void ReplicaGateway::redirect(ProcessId to, const OperationId& id) {
-  if (metrics_) metrics_->add("gateway.redirects");
+  metrics_.add("gateway.redirects");
   host_.send(to, msg::kRedirect, msg::Redirect{id, hooks_.leader_hint()});
 }
 

@@ -57,9 +57,9 @@ class ReplicaGateway {
         submit_read;
   };
 
-  // `metrics` may be null (metrics disabled); `host` must outlive the
+  // `host` and `metrics` (the host replica's registry) must outlive the
   // gateway.
-  ReplicaGateway(sim::Process& host, metrics::Registry* metrics)
+  ReplicaGateway(sim::Process& host, metrics::Registry& metrics)
       : host_(host), metrics_(metrics) {}
 
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
@@ -74,13 +74,6 @@ class ReplicaGateway {
 
   const SessionTable& sessions() const { return sessions_; }
 
-  // Bounds the session table to the k most recently applied clients
-  // (0 = unbounded; see session.h for the eviction semantics). Must be set
-  // identically at every replica — the table is replicated state.
-  void set_session_capacity(std::size_t capacity) {
-    sessions_.set_capacity(capacity);
-  }
-
  private:
   void reply(ProcessId to, const OperationId& id, const std::string& response);
   void redirect(ProcessId to, const OperationId& id);
@@ -89,7 +82,7 @@ class ReplicaGateway {
   }
 
   sim::Process& host_;
-  metrics::Registry* metrics_;
+  metrics::Registry& metrics_;
   Hooks hooks_;
   SessionTable sessions_;
   // At most one outstanding RMW waiter per client (clients are sequential):

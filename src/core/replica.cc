@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/logging.h"
 #include "sim/storage.h"
 
 namespace cht::core {
 
 namespace {
-constexpr const char* kTag = "replica";
 
 // Stable-storage schema. "promised" and "est" are synced before the message
 // they back leaves the process; "batch.<j>" records ride along with the next
@@ -57,8 +55,7 @@ Replica::Replica(std::shared_ptr<const object::ObjectModel> model,
       config_(config),
       omega_(*this, config_.omega),
       els_(*this, [this] { return omega_.leader(); }, config_.els),
-      metrics_(config_.metrics_enabled),
-      gateway_(*this, &metrics_),
+      gateway_(*this, metrics_),
       clock_guard_(config_.clock_guard) {
   client::ReplicaGateway::Hooks hooks;
   // Any chtread replica accepts RMWs: rmw_send forwards them to the believed
@@ -437,7 +434,6 @@ bool Replica::is_steady_leader() {
 }
 
 void Replica::become_leader(LocalTime t) {
-  CHT_DEBUG(kTag) << id() << " becomes leader at " << t;
   trace_event("leader.become", "t=" + std::to_string(t.to_micros()));
   c_became_leader_->inc();
   end_span(span_recovery_, "span.recovery");  // recovered straight to leading
@@ -462,7 +458,6 @@ void Replica::become_leader(LocalTime t) {
 }
 
 void Replica::abdicate() {
-  CHT_DEBUG(kTag) << id() << " abdicates (reign " << leader_time_ << ")";
   trace_event("leader.abdicate");
   c_abdicated_->inc();
   end_span(span_leader_reign_, "span.leader.reign");
@@ -670,12 +665,6 @@ void Replica::check_leaseholder_gate() {
       doops_->waiting_expiry) {
     return;
   }
-  if (config_.commit_gate == CommitGate::kMajorityOnly) {
-    // Plain SMR baseline: majority suffices (no lease safety for readers).
-    doops_->gate_timer.cancel();
-    finish_doops();
-    return;
-  }
   // kAllProcesses (Megastore-style) requires every process to ack each
   // write; with kLeaseholders (the paper) only the tracked set must.
   const bool all_leaseholders_acked =
@@ -742,8 +731,6 @@ void Replica::finish_doops() {
   end_span(span_doops_total_, "span.doops.total");
   trace_event("batch.commit", "j=" + std::to_string(number) + " ops=" +
                                   std::to_string(ops.size()));
-  CHT_DEBUG(kTag) << id() << " committed batch " << number << " ("
-                  << ops.size() << " ops)";
 
   if (initial) {
     enter_steady();

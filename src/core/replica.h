@@ -115,14 +115,13 @@ class Replica : public sim::Process {
   bool is_steady_leader();  // cheap form for run_until() polling predicates
 
   // Observability: protocol counters and span histograms (metric inventory
-  // in docs/OBSERVABILITY.md). Enabled iff Config::metrics_enabled; never
-  // read by protocol logic, so it cannot affect simulation behaviour.
+  // in docs/OBSERVABILITY.md). Never read by protocol logic, so it cannot
+  // affect simulation behaviour.
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
 
   const object::ObjectState& applied_state() const { return *state_; }
   const object::ObjectModel& model() const { return *model_; }
-  leader::EnhancedLeaderService& leader_service() { return els_; }
   const Config& config() const { return config_; }
   // Clock-health guard state, exposed for the chaos checker's
   // exposure-window accounting and for tests.

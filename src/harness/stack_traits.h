@@ -17,7 +17,6 @@
 //                       committed prefix in commit order (a vector, or a
 //                       span into the live log); ops(entry) yields records
 //                       with .id and .op
-//   leadership_changes  leadership acquisitions at one replica
 // and, where the stack has them, durable (entries on stable storage beyond
 // the committed prefix), recovering (inside a recovery protocol) and
 // guard_transitions (clock-guard flips). Absent ones default below.
@@ -118,9 +117,6 @@ struct StackTraits<core::Replica> : StackTraitsBase {
       core::Replica& r) {
     return r.clock_guard().transitions();
   }
-  static std::int64_t leadership_changes(core::Replica& r) {
-    return r.metrics().value("became_leader");
-  }
 };
 
 template <>
@@ -149,9 +145,6 @@ struct StackTraits<raft::RaftReplica> : StackTraitsBase {
       raft::RaftReplica& r) {
     return r.clock_guard().transitions();
   }
-  static std::int64_t leadership_changes(raft::RaftReplica& r) {
-    return r.stats().terms_won;
-  }
 };
 
 template <>
@@ -176,9 +169,6 @@ struct StackTraits<vr::VrReplica> : StackTraitsBase {
   }
   static bool recovering(const vr::VrReplica& r) {
     return r.status() == vr::VrReplica::Status::kRecovering;
-  }
-  static std::int64_t leadership_changes(vr::VrReplica& r) {
-    return r.stats().views_led;
   }
 };
 

@@ -39,8 +39,8 @@ Counter& Registry::counter(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_
-             .emplace(std::string(name), std::unique_ptr<Counter>(new Counter(
-                                             std::string(name), &enabled_)))
+             .emplace(std::string(name),
+                      std::unique_ptr<Counter>(new Counter(std::string(name))))
              .first;
   }
   return *it->second;
@@ -50,8 +50,8 @@ Gauge& Registry::gauge(std::string_view name) {
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_
-             .emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge(
-                                             std::string(name), &enabled_)))
+             .emplace(std::string(name),
+                      std::unique_ptr<Gauge>(new Gauge(std::string(name))))
              .first;
   }
   return *it->second;
@@ -63,7 +63,7 @@ Histogram& Registry::histogram(std::string_view name) {
     it = histograms_
              .emplace(std::string(name),
                       std::unique_ptr<Histogram>(
-                          new Histogram(std::string(name), &enabled_)))
+                          new Histogram(std::string(name))))
              .first;
   }
   return *it->second;

@@ -4,17 +4,15 @@
 // Design constraints (see docs/OBSERVABILITY.md):
 //   - the record path (Counter::inc, Gauge::set, Histogram::record) is
 //     allocation-free: handles are obtained once at registration time and
-//     write into pre-allocated storage;
-//   - with the registry disabled every record call costs exactly one branch
-//     (no allocation, no sample storage) — asserted by test_metrics;
+//     write into pre-allocated storage — asserted by test_metrics;
 //   - registries are mergeable by metric name (Registry::merge_from), so
 //     per-replica registries aggregate into one cluster-wide view;
 //   - iteration order is deterministic (name order), so exported artifacts
 //     are reproducible byte for byte.
 //
-// Metrics never feed back into protocol decisions, so enabling or disabling
-// a registry cannot change simulation behaviour (chaos fingerprints are
-// invariant; test_observability asserts this).
+// Metrics never feed back into protocol decisions, so recording cannot
+// change simulation behaviour (the pinned chaos and determinism-twice
+// fingerprints would move if it did).
 #pragma once
 
 #include <algorithm>
@@ -34,38 +32,28 @@ class Registry;
 // Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::int64_t delta = 1) {
-    if (!*enabled_) return;
-    value_ += delta;
-  }
+  void inc(std::int64_t delta = 1) { value_ += delta; }
   std::int64_t value() const { return value_; }
   const std::string& name() const { return name_; }
 
  private:
   friend class Registry;
-  Counter(std::string name, const bool* enabled)
-      : name_(std::move(name)), enabled_(enabled) {}
+  explicit Counter(std::string name) : name_(std::move(name)) {}
   std::string name_;
-  const bool* enabled_;
   std::int64_t value_ = 0;
 };
 
 // Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void set(std::int64_t value) {
-    if (!*enabled_) return;
-    value_ = value;
-  }
+  void set(std::int64_t value) { value_ = value; }
   std::int64_t value() const { return value_; }
   const std::string& name() const { return name_; }
 
  private:
   friend class Registry;
-  Gauge(std::string name, const bool* enabled)
-      : name_(std::move(name)), enabled_(enabled) {}
+  explicit Gauge(std::string name) : name_(std::move(name)) {}
   std::string name_;
-  const bool* enabled_;
   std::int64_t value_ = 0;
 };
 
@@ -79,7 +67,6 @@ class Histogram {
   static constexpr int kBuckets = 248;  // bucket_of(INT64_MAX) == 247
 
   void record(std::int64_t value) {
-    if (!*enabled_) return;
     if (value < 0) value = 0;
     ++buckets_[static_cast<std::size_t>(bucket_of(value))];
     ++count_;
@@ -124,15 +111,14 @@ class Histogram {
   static std::int64_t bucket_upper(int bucket) {
     if (bucket < kSubBuckets) return bucket;
     const int octave = (bucket - kSubBuckets) / kSubBuckets;
-    return bucket_lower(bucket) + (std::int64_t{1} << octave) - 1;
+    // Width minus one first: the last bucket's upper bound is INT64_MAX.
+    return bucket_lower(bucket) + ((std::int64_t{1} << octave) - 1);
   }
 
  private:
   friend class Registry;
-  Histogram(std::string name, const bool* enabled)
-      : name_(std::move(name)), enabled_(enabled) {}
+  explicit Histogram(std::string name) : name_(std::move(name)) {}
   std::string name_;
-  const bool* enabled_;
   std::array<std::int64_t, kBuckets> buckets_{};
   std::int64_t count_ = 0;
   std::int64_t sum_ = 0;
@@ -146,12 +132,9 @@ class Histogram {
 // into it.
 class Registry {
  public:
-  explicit Registry(bool enabled = true) : enabled_(enabled) {}
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
@@ -160,7 +143,6 @@ class Registry {
   // Convenience name-based increment (does a map lookup; prefer handles on
   // hot paths).
   void add(std::string_view name, std::int64_t delta = 1) {
-    if (!enabled_) return;
     counter(name).inc(delta);
   }
 
@@ -188,7 +170,6 @@ class Registry {
   }
 
  private:
-  bool enabled_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;

@@ -1,8 +1,7 @@
 // Protocol-phase spans: named durations that start in one event handler and
 // end in another (a DoOps round, a leader reign, a blocked read). Because a
-// phase crosses many simulator events, the primary primitive is the manual
-// begin/end `Span`; `ScopedSpan` is the RAII form for phases confined to one
-// scope. Both feed a `Histogram`, and call sites additionally emit a
+// phase crosses many simulator events, a span is delimited by hand with
+// begin/end. It feeds a `Histogram`, and call sites additionally emit a
 // `trace_event("span.<name>", ...)` so spans land in `sim::Trace` next to
 // the message-level trace.
 #pragma once
@@ -24,7 +23,6 @@ class Span {
   explicit Span(Histogram* histogram) : histogram_(histogram) {}
 
   bool active() const { return active_; }
-  std::int64_t begin_at() const { return begin_; }
 
   void begin(std::int64_t now) {
     begin_ = now;
@@ -46,27 +44,6 @@ class Span {
   Histogram* histogram_ = nullptr;
   std::int64_t begin_ = 0;
   bool active_ = false;
-};
-
-// RAII span for phases that do fit one scope. The clock is read through a
-// pointer so tests (and real-time callers) control it; spans nest naturally
-// by scoping.
-class ScopedSpan {
- public:
-  ScopedSpan(Histogram& histogram, const std::int64_t* clock)
-      : histogram_(histogram), clock_(clock), begin_(*clock) {}
-  ~ScopedSpan() {
-    std::int64_t elapsed = *clock_ - begin_;
-    if (elapsed < 0) elapsed = 0;
-    histogram_.record(elapsed);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Histogram& histogram_;
-  const std::int64_t* clock_;
-  std::int64_t begin_;
 };
 
 }  // namespace cht::metrics

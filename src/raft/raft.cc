@@ -4,13 +4,11 @@
 #include <string>
 
 #include "common/assert.h"
-#include "common/logging.h"
 #include "sim/storage.h"
 
 namespace cht::raft {
 
 namespace {
-constexpr const char* kTag = "raft";
 
 // Stable-storage schema: keyed "term"/"vote" records plus one append-log
 // record per log entry (index i+1 lives at storage log position i).
@@ -39,7 +37,7 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
     : model_(std::move(model)),
       config_(config),
       clock_guard_(config_.clock_guard),
-      gateway_(*this, &metrics_) {
+      gateway_(*this, metrics_) {
   span_election_ = metrics::Span(&metrics_.histogram("span.election_us"));
   h_readindex_round_ = &metrics_.histogram("span.readindex.round_us");
   c_recoveries_ = &metrics_.counter("recoveries");
@@ -47,6 +45,7 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
   span_recovery_ = metrics::Span(&metrics_.histogram("span.recovery_us"));
   c_clock_transitions_ = &metrics_.counter("clock.suspect_transitions");
   c_reads_degraded_ = &metrics_.counter("reads.degraded");
+  c_became_leader_ = &metrics_.counter("became_leader");
 
   client::ReplicaGateway::Hooks hooks;
   hooks.accepts_rmw = [this] { return role_ == Role::kLeader; };
@@ -159,7 +158,6 @@ void RaftReplica::reset_election_timer() {
 
 void RaftReplica::start_election() {
   if (role_ == Role::kLeader) return;
-  ++stats_.elections_started;
   // The election span restarts on every timeout, so it measures the round
   // that actually won, not the full leaderless stretch.
   span_election_.begin(now_local().to_micros());
@@ -170,7 +168,6 @@ void RaftReplica::start_election() {
   // The self-vote must be durable before anyone can learn of the candidacy:
   // the RequestVote broadcast waits for the covering sync to complete.
   persist_hard_state();
-  CHT_DEBUG(kTag) << id() << " starts election for term " << term_;
   const std::int64_t t = term_;
   request_sync([this, t] {
     if (role_ != Role::kCandidate || term_ != t) {
@@ -202,8 +199,7 @@ void RaftReplica::become_follower(std::int64_t term) {
 }
 
 void RaftReplica::become_leader() {
-  CHT_DEBUG(kTag) << id() << " wins term " << term_;
-  ++stats_.terms_won;
+  c_became_leader_->inc();
   const std::int64_t election_us = span_election_.end(now_local().to_micros());
   if (election_us >= 0 && tracing()) {
     trace_event("span.election", "us=" + std::to_string(election_us));
@@ -431,7 +427,6 @@ void RaftReplica::apply_committed() {
       auto node = pending_ops_.extract(entry.id);
       if (!node.empty()) {
         node.mapped().retry_timer.cancel();
-        ++stats_.rmws_completed;
         if (node.mapped().callback) node.mapped().callback(response);
       }
     }
@@ -448,7 +443,6 @@ void RaftReplica::apply_committed() {
 
 OperationId RaftReplica::submit_rmw(object::Operation op, Callback callback) {
   CHT_ASSERT(!model_->is_read(op), "submit_rmw called with a read");
-  ++stats_.rmws_submitted;
   const OperationId id{this->id(), ++op_seq_};
   pending_ops_.try_emplace(
       id, PendingClientOp{std::move(op), std::move(callback), false,
@@ -459,7 +453,6 @@ OperationId RaftReplica::submit_rmw(object::Operation op, Callback callback) {
 
 void RaftReplica::submit_read(object::Operation op, Callback callback) {
   CHT_ASSERT(model_->is_read(op), "submit_read called with a RMW");
-  ++stats_.reads_submitted;
   const OperationId id{this->id(), ++op_seq_};
   pending_ops_.try_emplace(
       id, PendingClientOp{std::move(op), std::move(callback), true,
@@ -525,11 +518,9 @@ void RaftReplica::on_client_read(ProcessId from, const msg::ClientRead& read) {
   if (config_.read_mode == ReadMode::kLeaderLease && clock_guard_.suspect()) {
     // Degraded: lease validity is clock arithmetic this replica no longer
     // trusts; fall through to the clock-free ReadIndex round below.
-    ++stats_.reads_degraded;
     c_reads_degraded_->inc();
   } else if (config_.read_mode == ReadMode::kLeaderLease && lease_valid() &&
              last_applied_ >= commit_index_) {
-    ++stats_.reads_served_by_lease;
     const object::Response response = model_->apply(*state_, read.op);
     const msg::ReadReply reply{read.id, response};
     if (from == id()) {
@@ -640,7 +631,6 @@ void RaftReplica::on_message_read_reply(const msg::ReadReply& reply) {
   auto node = pending_ops_.extract(reply.id);
   if (node.empty()) return;
   node.mapped().retry_timer.cancel();
-  ++stats_.reads_completed;
   if (node.mapped().callback) node.mapped().callback(reply.response);
 }
 

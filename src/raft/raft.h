@@ -155,17 +155,6 @@ class RaftReplica : public sim::Process {
   void on_restart() override;
   void on_message(const sim::Message& message) override;
 
-  struct Stats {
-    std::int64_t rmws_submitted = 0;
-    std::int64_t rmws_completed = 0;
-    std::int64_t reads_submitted = 0;
-    std::int64_t reads_completed = 0;
-    std::int64_t reads_served_by_lease = 0;
-    std::int64_t reads_degraded = 0;  // lease-mode reads demoted to ReadIndex
-    std::int64_t elections_started = 0;
-    std::int64_t terms_won = 0;
-  };
-
   Role role() const { return role_; }
   std::int64_t term() const { return term_; }
   std::int64_t commit_index() const { return commit_index_; }
@@ -173,14 +162,14 @@ class RaftReplica : public sim::Process {
   std::size_t log_size() const { return log_.size(); }
   const std::vector<LogEntry>& log() const { return log_; }
   ProcessId leader_hint() const { return leader_hint_; }
-  const Stats& stats() const { return stats_; }
   const object::ObjectState& applied_state() const { return *state_; }
   // Clock-health guard state, for the chaos checker's exposure-window
   // accounting and tests.
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
 
-  // Observability: span histograms for the election round and the ReadIndex
-  // confirmation round (see docs/OBSERVABILITY.md).
+  // Observability: counters (terms won, degraded reads, ...) and span
+  // histograms for the election and ReadIndex rounds (see
+  // docs/OBSERVABILITY.md).
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
 
@@ -290,7 +279,6 @@ class RaftReplica : public sim::Process {
   std::int64_t op_seq_ = 0;
   std::map<OperationId, PendingClientOp> pending_ops_;
 
-  Stats stats_;
   core::ClockSkewGuard clock_guard_;
 
   // Observability (write-only from protocol code).
@@ -301,6 +289,7 @@ class RaftReplica : public sim::Process {
   metrics::Counter* c_recovered_entries_;
   metrics::Counter* c_clock_transitions_;
   metrics::Counter* c_reads_degraded_;
+  metrics::Counter* c_became_leader_;   // terms won
   metrics::Span span_recovery_;         // restart -> first live-protocol sign
 
   // Networked-client endpoint (declared after metrics_: ctor order).

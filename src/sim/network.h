@@ -86,17 +86,13 @@ class Network {
   void add_link_delay(ProcessId from, ProcessId to, Duration extra);
 
   const MessageStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = MessageStats{}; }
 
   const NetworkConfig& config() const { return config_; }
   void set_gst(RealTime gst) { config_.gst = gst; }
-  // Runtime knobs for chaos schedules: adjust pre-GST misbehaviour rates
-  // mid-run (they only bite while now < gst, e.g. after a GST shift).
+  // Runtime knob for chaos schedules: adjust the pre-GST duplication rate
+  // mid-run (it only bites while now < gst, e.g. after a GST shift).
   void set_pre_gst_duplicate_probability(double p) {
     config_.pre_gst_duplicate_probability = p;
-  }
-  void set_pre_gst_loss_probability(double p) {
-    config_.pre_gst_loss_probability = p;
   }
   void set_trace(Trace* trace) { trace_ = trace; }
 

@@ -97,9 +97,6 @@ class Simulation {
 
   // --- Access -------------------------------------------------------------
   int n() const { return static_cast<int>(processes_.size()); }
-  // Replicated-cluster size (excludes clients); what every process is
-  // attached with as Process::cluster_size().
-  int cluster_n() const { return cluster_n_; }
   Process& process(ProcessId p) { return *processes_.at(p.index()); }
   const Process& process(ProcessId p) const {
     return *processes_.at(p.index());

@@ -162,13 +162,6 @@ class VrReplica : public sim::Process {
   void on_restart() override;
   void on_message(const sim::Message& message) override;
 
-  struct Stats {
-    std::int64_t ops_submitted = 0;
-    std::int64_t ops_completed = 0;
-    std::int64_t view_changes_started = 0;
-    std::int64_t views_led = 0;
-  };
-
   std::int64_t view() const { return view_; }
   Status status() const { return status_; }
   bool is_primary() const {
@@ -177,10 +170,10 @@ class VrReplica : public sim::Process {
   std::int64_t commit_number() const { return commit_number_; }
   std::size_t log_size() const { return log_.size(); }
   const std::vector<VrLogEntry>& log() const { return log_; }
-  const Stats& stats() const { return stats_; }
   const object::ObjectState& applied_state() const { return *state_; }
 
-  // Observability: view-change duration span (see docs/OBSERVABILITY.md).
+  // Observability: views led, recoveries and the view-change duration span
+  // (see docs/OBSERVABILITY.md).
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
 
@@ -274,11 +267,10 @@ class VrReplica : public sim::Process {
   std::int64_t op_seq_ = 0;
   std::map<OperationId, PendingClientOp> pending_ops_;
 
-  Stats stats_;
-
   // Observability (write-only from protocol code).
   metrics::Registry metrics_;
   metrics::Span span_viewchange_;  // first StartViewChange -> normal status
+  metrics::Counter* c_became_leader_;  // views led
   metrics::Counter* c_recoveries_;
   metrics::Counter* c_recovered_entries_;
   metrics::Span span_recovery_;    // restart -> recovery protocol finished

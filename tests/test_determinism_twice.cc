@@ -11,6 +11,7 @@
 // fixed-size payloads, value-semantics variable-size payloads).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -105,6 +106,39 @@ std::string pinned_fingerprint(const std::string& test_case,
   return it == kPins.end() ? "<unpinned>" : it->second;
 }
 
+// Absolute leadership-change counts (RunResult::leadership_changes) per
+// (case, protocol), pinned beside the fingerprints. The fingerprint does
+// not cover this count, so a change to where a stack counts leadership
+// (chtread reigns, raft terms won, vr views led) shows up only here.
+std::int64_t pinned_leadership_changes(const std::string& test_case,
+                                       const std::string& protocol) {
+  static const std::map<std::pair<std::string, std::string>, std::int64_t>
+      kPins{
+          {{"SecondRun", "chtread"}, 11},
+          {{"SecondRun", "raft"}, 1},
+          {{"SecondRun", "raft-lease"}, 1},
+          {{"SecondRun", "vr"}, 5},
+          {{"RestartHeavy", "chtread"}, 7},
+          {{"RestartHeavy", "raft"}, 1},
+          {{"RestartHeavy", "raft-lease"}, 1},
+          {{"RestartHeavy", "vr"}, 1},
+          {{"CrashLoop", "chtread"}, 7},
+          {{"CrashLoop", "raft"}, 1},
+          {{"CrashLoop", "raft-lease"}, 1},
+          {{"CrashLoop", "vr"}, 1},
+          {{"ClockStormGuardOn", "chtread"}, 6},
+          {{"ClockStormGuardOn", "raft"}, 1},
+          {{"ClockStormGuardOn", "raft-lease"}, 1},
+          {{"ClockStormGuardOn", "vr"}, 1},
+          {{"LegacyDirectSubmit", "chtread"}, 10},
+          {{"LegacyDirectSubmit", "raft"}, 1},
+          {{"LegacyDirectSubmit", "raft-lease"}, 1},
+          {{"LegacyDirectSubmit", "vr"}, 4},
+      };
+  const auto it = kPins.find({test_case, protocol});
+  return it == kPins.end() ? -1 : it->second;
+}
+
 class DeterminismTwiceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DeterminismTwiceTest, SecondRunIsByteIdentical) {
@@ -121,6 +155,8 @@ TEST_P(DeterminismTwiceTest, SecondRunIsByteIdentical) {
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
   EXPECT_EQ(first.result.fingerprint,
             pinned_fingerprint("SecondRun", spec.protocol));
+  EXPECT_EQ(first.result.leadership_changes,
+            pinned_leadership_changes("SecondRun", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.quiesced, second.result.quiesced);
   EXPECT_EQ(first.result.checker_decided, second.result.checker_decided);
@@ -160,6 +196,8 @@ TEST_P(DeterminismTwiceTest, RestartHeavyRunIsByteIdentical) {
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
   EXPECT_EQ(first.result.fingerprint,
             pinned_fingerprint("RestartHeavy", spec.protocol));
+  EXPECT_EQ(first.result.leadership_changes,
+            pinned_leadership_changes("RestartHeavy", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.crashes, second.result.crashes);
   EXPECT_EQ(first.result.restarts, second.result.restarts);
@@ -194,6 +232,8 @@ TEST_P(DeterminismTwiceTest, CrashLoopRunIsByteIdentical) {
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
   EXPECT_EQ(first.result.fingerprint,
             pinned_fingerprint("CrashLoop", spec.protocol));
+  EXPECT_EQ(first.result.leadership_changes,
+            pinned_leadership_changes("CrashLoop", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.crashes, second.result.crashes);
   EXPECT_EQ(first.result.restarts, second.result.restarts);
@@ -230,6 +270,8 @@ TEST_P(DeterminismTwiceTest, ClockStormGuardOnRunIsByteIdentical) {
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
   EXPECT_EQ(first.result.fingerprint,
             pinned_fingerprint("ClockStormGuardOn", spec.protocol));
+  EXPECT_EQ(first.result.leadership_changes,
+            pinned_leadership_changes("ClockStormGuardOn", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.reads_excused, second.result.reads_excused);
   EXPECT_EQ(first.result.nemesis_schedule, second.result.nemesis_schedule);
@@ -263,6 +305,8 @@ TEST_P(DeterminismTwiceTest, LegacyDirectSubmitRunIsByteIdentical) {
   EXPECT_EQ(first.result.fingerprint, second.result.fingerprint);
   EXPECT_EQ(first.result.fingerprint,
             pinned_fingerprint("LegacyDirectSubmit", spec.protocol));
+  EXPECT_EQ(first.result.leadership_changes,
+            pinned_leadership_changes("LegacyDirectSubmit", spec.protocol));
   EXPECT_EQ(first.result.violations, second.result.violations);
   EXPECT_EQ(first.result.nemesis_schedule, second.result.nemesis_schedule);
   EXPECT_EQ(first.result.history, second.result.history);
