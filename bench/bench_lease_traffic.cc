@@ -59,7 +59,7 @@ double pql_per_period(int n) {
   sim.start();
   sim.run_until(RealTime::zero() + Duration::millis(300));
   const auto before = sim.network().stats().sent;
-  sim.run_until(sim.now() + config.renewal_interval * 20);
+  sim.run_until(sim.now() + config.renewal_interval() * 20);
   return static_cast<double>(sim.network().stats().sent - before) / 20.0;
 }
 

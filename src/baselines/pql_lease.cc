@@ -37,7 +37,7 @@ void PqlProcess::renewal_tick() {
   request_sync([this, round] {
     broadcast(msg::kPromise, msg::Promise{round});
   });
-  schedule_after(config_.renewal_interval, [this] { renewal_tick(); });
+  schedule_after(config_.renewal_interval(), [this] { renewal_tick(); });
 }
 
 bool PqlProcess::lease_active() {
@@ -64,7 +64,7 @@ void PqlProcess::begin_write() {
   write.acked[id().index()] = true;
   const std::int64_t seq = write.seq;
   write.expiry_timer =
-      schedule_after(config_.lease_duration + config_.guard, [this, seq] {
+      schedule_after(config_.lease_duration() + config_.guard(), [this, seq] {
         for (auto& w : pending_writes_) {
           if (w.seq == seq) {
             std::fill(w.acked.begin(), w.acked.end(), true);
@@ -103,7 +103,7 @@ void PqlProcess::on_message(const sim::Message& message) {
   } else if (message.is(msg::kGuarantee)) {
     if (now_real() >= revoke_quiet_until_) {
       guarantee_expiry_[message.from.index()] =
-          now_real() + config_.lease_duration;
+          now_real() + config_.lease_duration();
     }
     send(message.from, msg::kGuaranteeAck,
          msg::GuaranteeAck{message.as<msg::Guarantee>().round});
@@ -113,7 +113,7 @@ void PqlProcess::on_message(const sim::Message& message) {
     // Drop every guarantee and ignore in-flight ones: reads stop being
     // local until the next full renewal completes.
     guarantee_expiry_.assign(cluster_size(), RealTime::min());
-    revoke_quiet_until_ = now_real() + config_.revoke_quiet;
+    revoke_quiet_until_ = now_real() + config_.revoke_quiet();
     send(message.from, msg::kRevokeAck,
          msg::RevokeAck{message.as<msg::Revoke>().write_seq});
   } else if (message.is(msg::kRevokeAck)) {

@@ -31,21 +31,19 @@
 namespace cht::baselines {
 
 struct PqlConfig {
-  Duration renewal_interval = Duration::millis(30);
-  Duration lease_duration = Duration::millis(120);
+  Duration delta = Duration::millis(10);
+  Duration epsilon = Duration::millis(1);
+
+  Duration renewal_interval() const { return 3 * delta; }
+  Duration lease_duration() const { return 12 * delta; }
   // One-way delay budget used for the guard that a grantor's guarantee
   // expires at the grantor no later than at the leaseholder.
-  Duration guard = Duration::millis(10);
+  Duration guard() const { return delta; }
   // After a revocation, guarantees already in flight (issued before the
   // revoke) must not resurrect the lease; the leaseholder ignores incoming
   // guarantees for this long (< renewal_interval, so the next full renewal
   // round re-establishes the lease).
-  Duration revoke_quiet = Duration::millis(25);
-  // Clock-health guard (core/clock_guard.h). PQL's elapsed-time timers are
-  // less clock-sensitive than synchronized-clock leases, but the simulated
-  // timers still tick on a skewable local clock, so a clock-suspect process
-  // degrades lease_active() to false (callers fall back to quorum reads).
-  core::ClockGuardConfig clock_guard;
+  Duration revoke_quiet() const { return 5 * delta / 2; }
 };
 
 namespace msg {
@@ -81,7 +79,7 @@ struct RevokeAck {
 class PqlProcess : public sim::Process {
  public:
   explicit PqlProcess(PqlConfig config)
-      : config_(config), clock_guard_(config_.clock_guard) {}
+      : config_(config), clock_guard_(config_.delta, config_.epsilon) {}
 
   void on_start() override;
   // Recovers the grantor round (synced before each Promise broadcast, so a
@@ -101,6 +99,10 @@ class PqlProcess : public sim::Process {
   void begin_write();
   std::int64_t writes_completed() const { return writes_completed_; }
 
+  // Clock-health guard (core/clock_guard.h). PQL's elapsed-time timers are
+  // less clock-sensitive than synchronized-clock leases, but the simulated
+  // timers still tick on a skewable local clock, so a clock-suspect process
+  // degrades lease_active() to false (callers fall back to quorum reads).
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
 
  private:

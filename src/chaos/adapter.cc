@@ -25,9 +25,7 @@ harness::CommonConfig cluster_config(const RunSpec& spec) {
   config.storage.sync_latency = Duration::micros(spec.sync_latency_us);
   config.storage.unsynced_key_loss = spec.unsynced_key_loss;
   config.storage.group_commit = spec.group_commit;
-  // One networked client per replica slot: the driver's submit(i, op) then
-  // maps 1:1 onto client i, whose home replica is i.
-  config.clients = spec.client_path ? spec.n : 0;
+  config.client_path = spec.client_path;
   config.clock_guard = spec.clock_guard;
   return config;
 }

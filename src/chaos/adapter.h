@@ -90,10 +90,11 @@ class ClusterAdapter {
 
   // Clock-guard suspect/requalified flips at one replica, in time order,
   // for the current incarnation (a restart starts a fresh, non-suspect
-  // guard). Stacks without a guard (vr, clock-free raft ReadIndex state is
-  // still guarded at the replica) return empty. The exposure-window
-  // accounting in invariants.cc folds these into an all-replicas-suspect
-  // timeline; benches derive detection latency from them.
+  // guard). VR has no guard and returns empty. Raft's guard runs in both
+  // read modes, though only leader-lease reads consult it. The
+  // exposure-window accounting in invariants.cc folds these into an
+  // all-replicas-suspect timeline; benches derive detection latency from
+  // them.
   virtual std::vector<core::ClockSkewGuard::Transition> guard_transitions_of(
       int /*replica*/) {
     return {};

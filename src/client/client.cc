@@ -57,9 +57,9 @@ void Client::arm_timer() {
   timer_.cancel();
   const int doublings = std::min(current_->attempts, 8);
   const Duration timeout =
-      std::min(Duration::micros(config_.request_timeout.to_micros()
+      std::min(Duration::micros(config_.request_timeout().to_micros()
                                 << doublings),
-               config_.backoff_cap);
+               config_.backoff_cap());
   timer_ = schedule_after(timeout, [this] { on_timeout(); });
 }
 
@@ -73,7 +73,7 @@ void Client::on_timeout() {
   leader_hint_ = -1;
   metrics_.add("client.retries");
   if (pending.is_read && !pending.leader_only &&
-      pending.attempts >= config_.escalate_reads_after) {
+      pending.attempts >= ClientConfig::escalate_reads_after) {
     pending.leader_only = true;
     metrics_.add("client.read_escalations");
   }

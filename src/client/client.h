@@ -42,21 +42,14 @@ namespace cht::client {
 
 struct ClientConfig {
   Duration delta = Duration::millis(10);
+
   // Per-attempt timeout before the first backoff doubling. Generous (a
   // commit takes a few delta plus fsync cost) so calm runs rarely retry.
-  Duration request_timeout = Duration::millis(80);
+  Duration request_timeout() const { return 8 * delta; }
   // Backoff cap; keeps post-heal recovery latency bounded.
-  Duration backoff_cap = Duration::millis(640);
+  Duration backoff_cap() const { return 64 * delta; }
   // Read attempts served locally before escalating to a leader read.
-  int escalate_reads_after = 2;
-
-  static ClientConfig defaults_for(Duration delta) {
-    ClientConfig c;
-    c.delta = delta;
-    c.request_timeout = 8 * delta;
-    c.backoff_cap = 64 * delta;
-    return c;
-  }
+  static constexpr int escalate_reads_after = 2;
 };
 
 class Client : public sim::Process {

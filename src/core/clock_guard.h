@@ -13,7 +13,7 @@
 //     send - recv         <= offset_send - offset_recv   (fast sender)
 //   and  lb = max(recv - send - delta, send - recv) <= |offset_recv - offset_send|.
 //
-// If lb exceeds the suspicion threshold (default epsilon), the pairwise skew
+// If lb exceeds the suspicion threshold (epsilon), the pairwise skew
 // provably exceeds the model bound and the receiver marks itself
 // clock-suspect: it cannot tell which of the two clocks is wrong, and
 // degrading to a clock-free read path is always safe. The detector is
@@ -27,7 +27,7 @@
 //
 // Re-qualification is lazy (no timers, so the detlint timer model stays
 // unchanged): once suspect, the first clean sample arriving at least
-// `requalify_window` (default 2*delta + epsilon) after the last bad sample —
+// `requalify_window` (2*delta + epsilon) after the last bad sample —
 // measured on the receiver's own monotonic local clock — clears the state.
 // A clock frozen by the monotonic clamp after a heal keeps generating bad
 // evidence until it has decayed, so the window only starts counting once the
@@ -43,27 +43,6 @@
 
 namespace cht::core {
 
-struct ClockGuardConfig {
-  bool enabled = true;
-  // Post-GST one-way delay bound used to discount flight time from the
-  // observed stamp gap.
-  Duration delta = Duration::millis(10);
-  // A skew lower bound above this marks the replica clock-suspect. Defaults
-  // to epsilon: anything beyond it provably violates the model.
-  Duration suspect_threshold = Duration::millis(1);
-  // Clean-evidence span (on the local clock) required before a suspect
-  // replica re-qualifies for lease reads.
-  Duration requalify_window = Duration::millis(21);
-
-  static ClockGuardConfig defaults_for(Duration delta, Duration epsilon) {
-    ClockGuardConfig c;
-    c.delta = delta;
-    c.suspect_threshold = epsilon;
-    c.requalify_window = 2 * delta + epsilon;
-    return c;
-  }
-};
-
 class ClockSkewGuard {
  public:
   // One suspect-state flip, stamped in real time for the chaos checker's
@@ -74,16 +53,25 @@ class ClockSkewGuard {
     bool suspect = false;
   };
 
-  ClockSkewGuard() = default;
-  explicit ClockSkewGuard(const ClockGuardConfig& config) : config_(config) {}
+  // `delta` and `epsilon` are the model's bounds. A disabled guard never
+  // suspects (the paper's assume-synchrony behaviour).
+  ClockSkewGuard(Duration delta, Duration epsilon, bool enabled = true)
+      : delta_(delta), epsilon_(epsilon), enabled_(enabled) {}
+
+  // A skew lower bound above this marks the replica clock-suspect: epsilon,
+  // since anything beyond it provably violates the model.
+  Duration suspect_threshold() const { return epsilon_; }
+  // Clean-evidence span (on the local clock) required before a suspect
+  // replica re-qualifies for lease reads.
+  Duration requalify_window() const { return 2 * delta_ + epsilon_; }
 
   // Feed one received message's send stamp and the receiver's local clock at
   // delivery. `now` is the receiver's real-time reading, recorded only into
   // the transition log. Returns true iff the suspect state flipped.
   bool observe(LocalTime sent, LocalTime recv, RealTime now) {
-    if (!config_.enabled || sent == LocalTime::min()) return false;
-    const Duration lb = std::max(recv - sent - config_.delta, sent - recv);
-    if (lb > config_.suspect_threshold) {
+    if (!enabled_ || sent == LocalTime::min()) return false;
+    const Duration lb = std::max(recv - sent - delta_, sent - recv);
+    if (lb > suspect_threshold()) {
       last_bad_ = std::max(last_bad_, recv);
       if (!suspect_) {
         suspect_ = true;
@@ -92,7 +80,7 @@ class ClockSkewGuard {
       }
       return false;
     }
-    if (suspect_ && recv - last_bad_ >= config_.requalify_window) {
+    if (suspect_ && recv - last_bad_ >= requalify_window()) {
       suspect_ = false;
       transitions_.push_back({now, false});
       return true;
@@ -100,12 +88,15 @@ class ClockSkewGuard {
     return false;
   }
 
-  bool suspect() const { return config_.enabled && suspect_; }
-  const ClockGuardConfig& config() const { return config_; }
+  bool suspect() const { return enabled_ && suspect_; }
   const std::vector<Transition>& transitions() const { return transitions_; }
 
  private:
-  ClockGuardConfig config_;
+  // Post-GST one-way delay bound used to discount flight time from the
+  // observed stamp gap.
+  Duration delta_;
+  Duration epsilon_;
+  bool enabled_;
   bool suspect_ = false;
   LocalTime last_bad_ = LocalTime::min();
   std::vector<Transition> transitions_;

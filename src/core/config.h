@@ -8,6 +8,8 @@
 //   - lease renewals more frequent than LeasePeriod so a stable leader's
 //     leases never lapse at connected processes;
 //   - retry/resend intervals of a few delta to ride out pre-GST loss.
+// Only the lease timing and the mechanism knobs below are settable; every
+// other timer is a read-only function of delta and epsilon.
 #pragma once
 
 #include <optional>
@@ -75,21 +77,37 @@ struct Config {
 
   Duration lease_period;            // read-lease validity
   Duration lease_renew_interval;    // leader renewal cadence
-  Duration leader_check_interval;   // thread-2 "am I leader?" poll cadence
-  Duration steady_tick;             // leader steady-state loop cadence
-  Duration estreq_resend;           // EstReq resend while collecting
-  Duration prepare_resend;          // Prepare resend while awaiting acks
-  Duration rmw_retry;               // client re-submit of a pending RMW
-  Duration anti_entropy_interval;   // gap-fill poll (not read-triggered)
-  Duration commit_rebroadcast;      // lazy rebroadcast of last commit
-
-  leader::OmegaConfig omega;
-  leader::EnhancedLeaderConfig els;
 
   // Runtime detection of broken epsilon-synchrony (clock_guard.h). While a
   // replica is clock-suspect its lease reads degrade to the RMW/consensus
   // path; disable to reproduce the paper's assume-synchrony behaviour.
-  ClockGuardConfig clock_guard;
+  bool clock_guard = true;
+
+  // Timer cadences, derived from delta.
+  // Thread 2's "am I leader?" poll.
+  Duration leader_check_interval() const { return delta / 2; }
+  // The leader's steady-state loop.
+  Duration steady_tick() const { return delta / 4; }
+  // EstReq resend while collecting estimates.
+  Duration estreq_resend() const { return 2 * delta; }
+  // Prepare resend while awaiting acks.
+  Duration prepare_resend() const { return 2 * delta; }
+  // Re-submission of a pending RMW or forwarded read.
+  Duration rmw_retry() const { return 4 * delta; }
+  // Gap-fill poll (not read-triggered).
+  Duration anti_entropy_interval() const { return 2 * delta; }
+  // Lazy rebroadcast of the last commit.
+  Duration commit_rebroadcast() const { return 8 * delta; }
+
+  // The failure detectors' timing, derived from delta and epsilon.
+  leader::OmegaConfig omega() const {
+    return {.heartbeat_interval = delta, .timeout = 4 * delta + epsilon};
+  }
+  leader::EnhancedLeaderConfig els() const {
+    return {.support_interval = delta,
+            .support_duration = 8 * delta,
+            .history_horizon = 100 * delta};
+  }
 
   static Config defaults_for(Duration delta, Duration epsilon) {
     Config c;
@@ -97,24 +115,7 @@ struct Config {
     c.epsilon = epsilon;
     c.lease_period = 12 * delta;
     c.lease_renew_interval = 3 * delta;
-    c.leader_check_interval = delta / 2;
-    c.steady_tick = delta / 4;
-    c.estreq_resend = 2 * delta;
-    c.prepare_resend = 2 * delta;
-    c.rmw_retry = 4 * delta;
-    c.anti_entropy_interval = 2 * delta;
-    c.commit_rebroadcast = 8 * delta;
-    c.omega.heartbeat_interval = delta;
-    c.omega.timeout = 4 * delta + epsilon;
-    c.els.support_interval = delta;
-    c.els.support_duration = 8 * delta;
-    c.els.history_horizon = 100 * delta;
-    c.clock_guard = ClockGuardConfig::defaults_for(delta, epsilon);
     return c;
-  }
-
-  static Config defaults() {
-    return defaults_for(Duration::millis(10), Duration::millis(1));
   }
 };
 

@@ -53,10 +53,10 @@ Replica::Replica(std::shared_ptr<const object::ObjectModel> model,
                  Config config)
     : model_(std::move(model)),
       config_(config),
-      omega_(*this, config_.omega),
-      els_(*this, [this] { return omega_.leader(); }, config_.els),
+      omega_(*this, config_.omega()),
+      els_(*this, [this] { return omega_.leader(); }, config_.els()),
       gateway_(*this, metrics_),
-      clock_guard_(config_.clock_guard) {
+      clock_guard_(config_.delta, config_.epsilon, config_.clock_guard) {
   client::ReplicaGateway::Hooks hooks;
   // Any chtread replica accepts RMWs: rmw_send forwards them to the believed
   // leader with retries, so the client never needs to find the leader itself.
@@ -227,7 +227,7 @@ void Replica::rmw_send(const OperationId& id) {
   // Re-send periodically: rides out pre-GST message loss and changes in the
   // leader belief (paper lines 2-5).
   it->second.retry_timer =
-      schedule_after(config_.rmw_retry, [this, id] { rmw_send(id); });
+      schedule_after(config_.rmw_retry(), [this, id] { rmw_send(id); });
 }
 
 void Replica::complete_rmw(const OperationId& id,
@@ -425,7 +425,7 @@ void Replica::leader_check_tick() {
     const LocalTime t = now_local();
     if (els_.am_leader(t, t)) become_leader(t);
   }
-  leader_check_timer_ = schedule_after(config_.leader_check_interval,
+  leader_check_timer_ = schedule_after(config_.leader_check_interval(),
                                        [this] { leader_check_tick(); });
 }
 
@@ -495,7 +495,7 @@ void Replica::send_est_reqs() {
   if (!check_still_leader()) return;
   broadcast(msg::kEstReq, msg::EstReq{leader_time_});
   estreq_timer_ =
-      schedule_after(config_.estreq_resend, [this] { send_est_reqs(); });
+      schedule_after(config_.estreq_resend(), [this] { send_est_reqs(); });
 }
 
 void Replica::on_est_reply(ProcessId from, const msg::EstReply& reply) {
@@ -541,7 +541,7 @@ void Replica::fetch_tick() {
     }
   }
   fetch_timer_ =
-      schedule_after(config_.anti_entropy_interval, [this] { fetch_tick(); });
+      schedule_after(config_.anti_entropy_interval(), [this] { fetch_tick(); });
 }
 
 void Replica::maybe_finish_fetching() {
@@ -647,7 +647,7 @@ void Replica::send_prepares() {
   broadcast(msg::kPrepare,
             msg::Prepare{doops_->ops, leader_time_, doops_->number, prev});
   doops_->resend_timer =
-      schedule_after(config_.prepare_resend, [this] { send_prepares(); });
+      schedule_after(config_.prepare_resend(), [this] { send_prepares(); });
 }
 
 void Replica::on_prepare_ack(ProcessId from, const msg::PrepareAck& ack) {
@@ -773,7 +773,7 @@ void Replica::steady_tick() {
   // Lazy rebroadcast of the last committed batch guards against Commit loss
   // (line 51).
   if (leader_next_batch_ >= 2 &&
-      now_real() - last_commit_rebroadcast_ >= config_.commit_rebroadcast) {
+      now_real() - last_commit_rebroadcast_ >= config_.commit_rebroadcast()) {
     const BatchNumber last = leader_next_batch_ - 1;
     auto it = batches_.find(last);
     if (it != batches_.end()) {
@@ -782,7 +782,7 @@ void Replica::steady_tick() {
     }
   }
   steady_timer_ =
-      schedule_after(config_.steady_tick, [this] { steady_tick(); });
+      schedule_after(config_.steady_tick(), [this] { steady_tick(); });
 }
 
 void Replica::issue_leases(LocalTime now) {
@@ -903,8 +903,8 @@ void Replica::forward_read_send(const OperationId& id) {
   } else {
     send(leader, msg::kReadRequest, request);
   }
-  it->second.retry_timer =
-      schedule_after(config_.rmw_retry, [this, id] { forward_read_send(id); });
+  it->second.retry_timer = schedule_after(
+      config_.rmw_retry(), [this, id] { forward_read_send(id); });
 }
 
 void Replica::on_read_request(ProcessId from, const msg::ReadRequest& request) {
@@ -1121,7 +1121,7 @@ void Replica::anti_entropy_tick() {
   // batches <= k-hat is served by this timer (and by commit-path triggers),
   // whose frequency does not depend on the number of reads.
   if (applied_upto_ < fetch_target()) request_missing_batches();
-  anti_entropy_timer_ = schedule_after(config_.anti_entropy_interval,
+  anti_entropy_timer_ = schedule_after(config_.anti_entropy_interval(),
                                        [this] { anti_entropy_tick(); });
 }
 

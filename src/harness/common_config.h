@@ -24,12 +24,12 @@ struct CommonConfig {
   Duration pre_gst_delay_max = Duration::millis(200);
   // Stable-storage model (fsync latency, crash-time loss, group commit).
   sim::StorageConfig storage;
-  // Networked clients (src/client/). 0 = legacy colocated submission (ops
-  // are injected directly at replica i); > 0 = the harness adds this many
-  // client::Client processes after the replicas and routes every submitted
-  // operation through one of them, so requests cross the simulated network
-  // and retries/redirects/session dedup are on the path.
-  int clients = 0;
+  // Networked clients (src/client/). false = legacy colocated submission
+  // (ops are injected directly at replica i); true = the harness adds n
+  // client::Client processes after the replicas and routes every operation
+  // submitted via slot i through client i, so requests cross the simulated
+  // network and retries/redirects/session dedup are on the path.
+  bool client_path = false;
   // Clock-health guard (core/clock_guard.h): when true, replicas detect
   // broken epsilon-synchrony from message stamps and degrade lease reads to
   // a clock-free path while suspect. Off reproduces the assume-synchrony

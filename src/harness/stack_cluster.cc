@@ -14,9 +14,11 @@ StackCluster<R>::StackCluster(CommonConfig config,
   for (int i = 0; i < config_.n; ++i) {
     sim_.add_process(std::make_unique<R>(model_, stack_config_));
   }
-  for (int j = 0; j < config_.clients; ++j) {
-    sim_.add_client(std::make_unique<client::Client>(
-        j % config_.n, client::ClientConfig::defaults_for(config_.delta)));
+  if (client_path()) {
+    for (int j = 0; j < config_.n; ++j) {
+      sim_.add_client(std::make_unique<client::Client>(
+          j, client::ClientConfig{.delta = config_.delta}));
+    }
   }
   sim_.start();
 }
@@ -38,8 +40,8 @@ void StackCluster<R>::merge_metrics_into(metrics::Registry& out) {
       }
     }
   }
-  for (int j = 0; j < config_.clients; ++j) {
-    out.merge_from(client(j).metrics());
+  if (client_path()) {
+    for (int j = 0; j < config_.n; ++j) out.merge_from(client(j).metrics());
   }
 }
 
@@ -49,7 +51,7 @@ void StackCluster<R>::submit(int i, object::Operation op,
   ++submitted_;
   const bool is_read = model_->is_read(op);
   if (client_path()) {
-    client::Client& via = client(i % config_.clients);
+    client::Client& via = client(i);
     // Invocation is recorded at dispatch (first wire send), not enqueue:
     // the client's internal queue is not observable concurrency, and the
     // reply always arrives after dispatch, so the token is set by then.

@@ -51,18 +51,19 @@ class StackCluster {
 
   // Submits an operation via process i, recording it in the history. The
   // optional callback also receives the response (after recording). With
-  // config.clients > 0 the operation instead travels through a networked
-  // client (slot i picks client i % clients) and the history records the
-  // client's ProcessId and session OperationId.
+  // config.client_path the operation instead travels through networked
+  // client i and the history records the client's ProcessId and session
+  // OperationId.
   void submit(int i, object::Operation op, Callback callback = nullptr);
 
-  // The networked clients (valid indices: 0 .. config().clients - 1). They
-  // are added after the replicas, so they never enter quorum math; client j's
-  // home replica is j % n, spreading the local-read fast path.
+  // The networked clients (valid indices: 0 .. n - 1, with
+  // config().client_path). They are added after the replicas, so they never
+  // enter quorum math; client j's home replica is j, spreading the
+  // local-read fast path.
   client::Client& client(int j) {
     return sim_.process_as<client::Client>(ProcessId(config_.n + j));
   }
-  bool client_path() const { return config_.clients > 0; }
+  bool client_path() const { return config_.client_path; }
 
   // Power-cycles crashed process i back up: builds a fresh replica over the
   // same model/config and hands it to Simulation::restart, which reattaches

@@ -85,7 +85,7 @@ struct StackTraits<core::Replica> : StackTraitsBase {
 
   static Config make_config(const CommonConfig& common, const Extra& extra) {
     Config config = Config::defaults_for(common.delta, common.epsilon);
-    config.clock_guard.enabled = common.clock_guard;
+    config.clock_guard = common.clock_guard;
     extra.apply(config);
     return config;
   }
@@ -127,11 +127,9 @@ struct StackTraits<raft::RaftReplica> : StackTraitsBase {
   static constexpr const char* kEpochName = "term";
 
   static Config make_config(const CommonConfig& common, const Extra& extra) {
-    Config config = Config::defaults_for(common.delta);
+    Config config = Config::defaults_for(common.delta, common.epsilon);
     config.read_mode = extra;
-    config.clock_guard =
-        core::ClockGuardConfig::defaults_for(common.delta, common.epsilon);
-    config.clock_guard.enabled = common.clock_guard;
+    config.clock_guard = common.clock_guard;
     return config;
   }
   static bool is_leader(raft::RaftReplica& r) {

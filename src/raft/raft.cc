@@ -36,7 +36,7 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
                          RaftConfig config)
     : model_(std::move(model)),
       config_(config),
-      clock_guard_(config_.clock_guard),
+      clock_guard_(config_.delta, config_.epsilon, config_.clock_guard),
       gateway_(*this, metrics_) {
   span_election_ = metrics::Span(&metrics_.histogram("span.election_us"));
   h_readindex_round_ = &metrics_.histogram("span.readindex.round_us");
@@ -293,8 +293,8 @@ void RaftReplica::heartbeat_tick() {
     if (i == id().index()) continue;
     send_append(ProcessId(i));
   }
-  heartbeat_timer_ =
-      schedule_after(config_.heartbeat_interval, [this] { heartbeat_tick(); });
+  heartbeat_timer_ = schedule_after(config_.heartbeat_interval(),
+                                    [this] { heartbeat_tick(); });
 }
 
 void RaftReplica::send_append(ProcessId to) {
@@ -491,7 +491,7 @@ void RaftReplica::client_send(const OperationId& id) {
     }
   }
   it->second.retry_timer =
-      schedule_after(config_.client_retry, [this, id] { client_send(id); });
+      schedule_after(config_.client_retry(), [this, id] { client_send(id); });
 }
 
 void RaftReplica::on_client_rmw(ProcessId /*from*/, const msg::ClientRmw& rmw) {

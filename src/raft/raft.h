@@ -46,22 +46,26 @@ namespace cht::raft {
 enum class ReadMode { kReadIndex, kLeaderLease };
 
 struct RaftConfig {
-  Duration heartbeat_interval = Duration::millis(10);
+  Duration delta = Duration::millis(10);
+  Duration epsilon = Duration::millis(1);
   Duration election_timeout_min = Duration::millis(100);
   Duration election_timeout_max = Duration::millis(200);
-  Duration client_retry = Duration::millis(40);
   ReadMode read_mode = ReadMode::kReadIndex;
-  // Clock-health guard (core/clock_guard.h). Only kLeaderLease reads depend
-  // on clocks, so only they degrade (to the ReadIndex round) while the
-  // leader is clock-suspect; kReadIndex is clock-free already.
-  core::ClockGuardConfig clock_guard;
+  // Clock-health guard (core/clock_guard.h), built from delta and epsilon.
+  // Only kLeaderLease reads depend on clocks, so only they degrade (to the
+  // ReadIndex round) while the leader is clock-suspect; kReadIndex is
+  // clock-free already.
+  bool clock_guard = true;
 
-  static RaftConfig defaults_for(Duration delta) {
+  Duration heartbeat_interval() const { return delta; }
+  Duration client_retry() const { return 4 * delta; }
+
+  static RaftConfig defaults_for(Duration delta, Duration epsilon) {
     RaftConfig c;
-    c.heartbeat_interval = delta;
+    c.delta = delta;
+    c.epsilon = epsilon;
     c.election_timeout_min = 10 * delta;
     c.election_timeout_max = 20 * delta;
-    c.client_retry = 4 * delta;
     return c;
   }
 };

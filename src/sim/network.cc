@@ -15,8 +15,9 @@ Duration Network::sample_delay(RealTime now, bool& lose, bool& duplicate) {
   }
   if (rng_.next_bool(config_.pre_gst_loss_probability)) lose = true;
   if (rng_.next_bool(config_.pre_gst_duplicate_probability)) duplicate = true;
-  return Duration::micros(rng_.next_in(config_.pre_gst_delay_min.to_micros(),
-                                       config_.pre_gst_delay_max.to_micros()));
+  return Duration::micros(
+      rng_.next_in(NetworkConfig::pre_gst_delay_min.to_micros(),
+                   config_.pre_gst_delay_max.to_micros()));
 }
 
 void Network::send(Message message) {

@@ -39,7 +39,7 @@ struct NetworkConfig {
   Duration delta = Duration::millis(10);
 
   // Pre-GST behaviour.
-  Duration pre_gst_delay_min = Duration::micros(100);
+  static constexpr Duration pre_gst_delay_min = Duration::micros(100);
   Duration pre_gst_delay_max = Duration::millis(200);
   double pre_gst_loss_probability = 0.05;
   double pre_gst_duplicate_probability = 0.0;

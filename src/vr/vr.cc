@@ -263,8 +263,8 @@ void VrReplica::heartbeat_tick() {
       send_prepare_to(ProcessId(i));
     }
   }
-  heartbeat_timer_ =
-      schedule_after(config_.heartbeat_interval, [this] { heartbeat_tick(); });
+  heartbeat_timer_ = schedule_after(config_.heartbeat_interval(),
+                                    [this] { heartbeat_tick(); });
 }
 
 // ===========================================================================
@@ -476,7 +476,7 @@ void VrReplica::client_send(const OperationId& id) {
     send(primary, msg::kRequest, request);
   }
   it->second.retry_timer =
-      schedule_after(config_.client_retry, [this, id] { client_send(id); });
+      schedule_after(config_.client_retry(), [this, id] { client_send(id); });
 }
 
 // ===========================================================================

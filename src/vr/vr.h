@@ -36,15 +36,16 @@
 namespace cht::vr {
 
 struct VrConfig {
-  Duration heartbeat_interval = Duration::millis(10);   // leader commit msgs
+  Duration delta = Duration::millis(10);
   Duration view_change_timeout = Duration::millis(100); // follower patience
-  Duration client_retry = Duration::millis(40);
+
+  Duration heartbeat_interval() const { return delta; }  // leader commit msgs
+  Duration client_retry() const { return 4 * delta; }
 
   static VrConfig defaults_for(Duration delta) {
     VrConfig c;
-    c.heartbeat_interval = delta;
+    c.delta = delta;
     c.view_change_timeout = 10 * delta;
-    c.client_retry = 4 * delta;
     return c;
   }
 };

@@ -132,7 +132,7 @@ harness::CommonConfig client_config(std::uint64_t seed) {
   config.seed = seed;
   config.delta = Duration::millis(10);
   config.epsilon = Duration::millis(1);
-  config.clients = 5;
+  config.client_path = true;
   return config;
 }
 

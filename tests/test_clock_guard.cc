@@ -20,21 +20,20 @@
 namespace cht {
 namespace {
 
-using core::ClockGuardConfig;
 using core::ClockSkewGuard;
 
 LocalTime lt(std::int64_t ms) { return LocalTime::zero() + Duration::millis(ms); }
 RealTime rt(std::int64_t ms) { return RealTime::zero() + Duration::millis(ms); }
 
-ClockGuardConfig guard_config() {
-  return ClockGuardConfig::defaults_for(Duration::millis(10),
-                                        Duration::millis(1));
+// The guard at delta = 10ms, epsilon = 1ms.
+ClockSkewGuard make_guard(bool enabled = true) {
+  return ClockSkewGuard(Duration::millis(10), Duration::millis(1), enabled);
 }
 
 // --- Evidence soundness ------------------------------------------------------
 
 TEST(ClockSkewGuardTest, TripsOnFastReceiverEvidence) {
-  ClockSkewGuard guard(guard_config());
+  ClockSkewGuard guard = make_guard();
   // Receiver's clock reads 15ms after a stamp of 0 with delta = 10ms:
   // lb = 15 - 0 - 10 = 5ms > epsilon.
   EXPECT_TRUE(guard.observe(lt(0), lt(15), rt(15)));
@@ -44,7 +43,7 @@ TEST(ClockSkewGuardTest, TripsOnFastReceiverEvidence) {
 }
 
 TEST(ClockSkewGuardTest, TripsOnFastSenderEvidence) {
-  ClockSkewGuard guard(guard_config());
+  ClockSkewGuard guard = make_guard();
   // The stamp is *ahead* of the receiver's clock: flight is nonnegative, so
   // lb = send - recv = 5ms of provable skew.
   EXPECT_TRUE(guard.observe(lt(10), lt(5), rt(10)));
@@ -55,7 +54,7 @@ TEST(ClockSkewGuardTest, NeverTripsWithinModelBounds) {
   // Grid over every in-model combination: pairwise offset difference within
   // +-epsilon and flight within [0, delta]. The lower bound can reach but
   // never exceed epsilon, so the guard must stay quiet.
-  ClockSkewGuard guard(guard_config());
+  ClockSkewGuard guard = make_guard();
   for (std::int64_t offset_us = -1000; offset_us <= 1000; offset_us += 100) {
     for (std::int64_t flight_us = 0; flight_us <= 10000; flight_us += 500) {
       const LocalTime sent = LocalTime::zero() + Duration::seconds(1);
@@ -72,15 +71,13 @@ TEST(ClockSkewGuardTest, NeverTripsWithinModelBounds) {
 TEST(ClockSkewGuardTest, IgnoresUnstampedMessages) {
   // Hand-crafted test messages carry the LocalTime::min() sentinel; the
   // guard must not treat the sentinel as an ancient (wildly skewed) stamp.
-  ClockSkewGuard guard(guard_config());
+  ClockSkewGuard guard = make_guard();
   EXPECT_FALSE(guard.observe(LocalTime::min(), lt(5000), rt(5000)));
   EXPECT_FALSE(guard.suspect());
 }
 
 TEST(ClockSkewGuardTest, DisabledGuardNeverSuspects) {
-  ClockGuardConfig config = guard_config();
-  config.enabled = false;
-  ClockSkewGuard guard(config);
+  ClockSkewGuard guard = make_guard(/*enabled=*/false);
   EXPECT_FALSE(guard.observe(lt(0), lt(5000), rt(5000)));
   EXPECT_FALSE(guard.suspect());
 }
@@ -88,7 +85,7 @@ TEST(ClockSkewGuardTest, DisabledGuardNeverSuspects) {
 // --- Re-qualification --------------------------------------------------------
 
 TEST(ClockSkewGuardTest, RequalifiesOnlyAfterCleanWindow) {
-  ClockSkewGuard guard(guard_config());  // requalify_window = 21ms
+  ClockSkewGuard guard = make_guard();  // requalify_window = 21ms
   ASSERT_TRUE(guard.observe(lt(0), lt(15), rt(15)));  // bad at local 15ms
   // Clean samples inside the window keep it suspect.
   EXPECT_FALSE(guard.observe(lt(20), lt(25), rt(25)));
@@ -102,7 +99,7 @@ TEST(ClockSkewGuardTest, RequalifiesOnlyAfterCleanWindow) {
 }
 
 TEST(ClockSkewGuardTest, FreshBadEvidenceRestartsTheWindow) {
-  ClockSkewGuard guard(guard_config());
+  ClockSkewGuard guard = make_guard();
   ASSERT_TRUE(guard.observe(lt(0), lt(15), rt(15)));
   // More bad evidence at local 30ms: no new transition, but the clean
   // window must now count from 30ms, not 15ms.
@@ -236,9 +233,7 @@ TEST(ClockGuardPqlTest, SuspectProcessReportsLeaseInactive) {
   sc.network.delta = Duration::millis(5);
   sc.network.delta_min = Duration::micros(200);
   sim::Simulation sim(sc);
-  baselines::PqlConfig config;
-  config.clock_guard =
-      ClockGuardConfig::defaults_for(Duration::millis(5), Duration::millis(1));
+  const baselines::PqlConfig config{.delta = Duration::millis(5)};
   for (int i = 0; i < 5; ++i) {
     sim.add_process(std::make_unique<baselines::PqlProcess>(config));
   }

@@ -1,9 +1,15 @@
 // Unit tests for the core wire/data types and configuration relationships.
 #include <gtest/gtest.h>
 
+#include "baselines/pql_lease.h"
+#include "client/client.h"
+#include "core/clock_guard.h"
 #include "core/config.h"
 #include "core/messages.h"
 #include "object/register_object.h"
+#include "raft/raft.h"
+#include "sim/network.h"
+#include "vr/vr.h"
 
 namespace cht::core {
 namespace {
@@ -55,12 +61,61 @@ TEST(ConfigTest, DefaultsScaleWithDelta) {
   // Relationships the protocol's liveness depends on.
   for (const auto& c : {small, large}) {
     EXPECT_LT(c.lease_renew_interval, c.lease_period);
-    EXPECT_GT(c.els.support_duration, 2 * c.els.support_interval + c.delta);
-    EXPECT_GT(c.omega.timeout, c.omega.heartbeat_interval + c.delta);
+    EXPECT_GT(c.els().support_duration,
+              2 * c.els().support_interval + c.delta);
+    EXPECT_GT(c.omega().timeout, c.omega().heartbeat_interval + c.delta);
     EXPECT_EQ(c.commit_gate, CommitGate::kLeaseholders);
     EXPECT_EQ(c.read_policy, ReadPolicy::kLocalLease);
     EXPECT_EQ(c.commit_wait, Duration::zero());
   }
+
+  // Every derived value at (10ms, 1ms), pinned to its literal.
+  const auto ms = [](std::int64_t v) { return Duration::millis(v); };
+  const auto c = Config::defaults_for(ms(10), ms(1));
+  EXPECT_EQ(c.lease_period, ms(120));
+  EXPECT_EQ(c.lease_renew_interval, ms(30));
+  EXPECT_EQ(c.leader_check_interval(), ms(5));
+  EXPECT_EQ(c.steady_tick(), Duration::micros(2500));
+  EXPECT_EQ(c.estreq_resend(), ms(20));
+  EXPECT_EQ(c.prepare_resend(), ms(20));
+  EXPECT_EQ(c.rmw_retry(), ms(40));
+  EXPECT_EQ(c.anti_entropy_interval(), ms(20));
+  EXPECT_EQ(c.commit_rebroadcast(), ms(80));
+  EXPECT_EQ(c.omega().heartbeat_interval, ms(10));
+  EXPECT_EQ(c.omega().timeout, ms(41));
+  EXPECT_EQ(c.els().support_interval, ms(10));
+  EXPECT_EQ(c.els().support_duration, ms(80));
+  EXPECT_EQ(c.els().history_horizon, Duration::seconds(1));
+  EXPECT_TRUE(c.clock_guard);
+
+  const ClockSkewGuard guard(ms(10), ms(1));
+  EXPECT_EQ(guard.suspect_threshold(), ms(1));
+  EXPECT_EQ(guard.requalify_window(), ms(21));
+
+  const auto raft = raft::RaftConfig::defaults_for(ms(10), ms(1));
+  EXPECT_EQ(raft.heartbeat_interval(), ms(10));
+  EXPECT_EQ(raft.client_retry(), ms(40));
+  EXPECT_EQ(raft.election_timeout_min, ms(100));
+  EXPECT_EQ(raft.election_timeout_max, ms(200));
+  EXPECT_TRUE(raft.clock_guard);
+
+  const auto vr = vr::VrConfig::defaults_for(ms(10));
+  EXPECT_EQ(vr.heartbeat_interval(), ms(10));
+  EXPECT_EQ(vr.client_retry(), ms(40));
+  EXPECT_EQ(vr.view_change_timeout, ms(100));
+
+  const baselines::PqlConfig pql;  // delta = 10ms, epsilon = 1ms
+  EXPECT_EQ(pql.renewal_interval(), ms(30));
+  EXPECT_EQ(pql.lease_duration(), ms(120));
+  EXPECT_EQ(pql.guard(), ms(10));
+  EXPECT_EQ(pql.revoke_quiet(), ms(25));
+
+  const client::ClientConfig client{.delta = ms(10)};
+  EXPECT_EQ(client.request_timeout(), ms(80));
+  EXPECT_EQ(client.backoff_cap(), ms(640));
+  EXPECT_EQ(client::ClientConfig::escalate_reads_after, 2);
+
+  EXPECT_EQ(sim::NetworkConfig::pre_gst_delay_min, Duration::micros(100));
 }
 
 TEST(OperationIdTest, OrderingAndHash) {

@@ -42,7 +42,8 @@ class RaftPuppet : public sim::Process {
 class RaftProtocolTest : public ::testing::Test {
  protected:
   RaftProtocolTest() : sim_(make_config()) {
-    raft::RaftConfig rc = raft::RaftConfig::defaults_for(Duration::millis(2));
+    raft::RaftConfig rc = raft::RaftConfig::defaults_for(Duration::millis(2),
+                                                          Duration::zero());
     // Keep the replica from starting elections during scripted exchanges.
     rc.election_timeout_min = Duration::seconds(100);
     rc.election_timeout_max = Duration::seconds(200);

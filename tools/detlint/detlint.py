@@ -88,24 +88,11 @@ Suppression grammar (see docs/STATIC_ANALYSIS.md):
 A suppression applies to its own line, or — when it is the only thing on the
 line — to the next line. The reason is mandatory.
 
-Engines:
-  --engine=regex   Pure-Python lexer + pattern pass (always available; the
-                   engine CI gates on, so CI never hard-depends on libclang).
-  --engine=clang   libclang (clang Python bindings) AST pass layered on top
-                   of the regex pass for D1/D2/D3/D6 call/type resolution
-                   (union, deduplicated by site — the regex findings are the
-                   floor, the AST only adds). Falls back to regex with a
-                   notice if the bindings are missing.
-  --engine=auto    clang if importable, else regex (default: regex, so runs
-                   are byte-stable across machines).
-
 Usage:
-    detlint.py [--root DIR] [--engine=regex|clang|auto] [--json[=PATH]]
-               [--sarif=PATH] [--model=PATH] [--check-model=PATH]
-               [--selftest] [--parity] [--list-rules] [files...]
+    detlint.py [--root DIR] [--json[=PATH]] [--sarif=PATH] [--model=PATH]
+               [--check-model=PATH] [--selftest] [--list-rules] [files...]
 
-Exit status: 0 = clean, 1 = findings, 2 = usage/internal error,
-             77 = --parity skipped (libclang unavailable).
+Exit status: 0 = clean, 1 = findings, 2 = usage/internal error.
 """
 
 import argparse
@@ -116,7 +103,6 @@ import sys
 
 VERSION = 2
 MODEL_VERSION = 1
-EXIT_SKIP = 77
 
 # Directories scanned relative to the repo root (files... overrides).
 SCAN_ROOTS = ("src", "tools", "bench", "examples")
@@ -353,7 +339,7 @@ def suppression_sites(comment):
     return sites
 
 
-# --- Regex engine (per-line rules) -------------------------------------------
+# --- Per-line rules ----------------------------------------------------------
 
 D1_PATTERNS = [
     re.compile(r"std::chrono::\w*_clock\b"),
@@ -692,7 +678,29 @@ DEADLINE_FN_RE = re.compile(
     r"\s*\(\s*\)")
 CONFIG_SYMBOL_RE = re.compile(
     r"\b(?:config_|config\(\))\s*\.\s*(\w+)|\bconfig\(\)\.(\w+)")
-DOC_METRIC_RE = re.compile(r"`([a-z][a-z0-9_.]*)`")
+# A registry-table row whose first cell is one backticked metric name.
+DOC_METRIC_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9_.]*)`\s*\|")
+
+
+def documented_metrics(doc):
+    """The names in the first column of the table under the document's
+    "metric-name registry" heading. A name backticked anywhere else (prose,
+    other tables) documents nothing."""
+    names = set()
+    in_section = in_table = False
+    for line in doc.splitlines():
+        if line.startswith("#"):
+            if in_table:
+                break
+            in_section = "metric-name registry" in line.lower()
+        elif in_section and line.startswith("|"):
+            in_table = True
+            m = DOC_METRIC_ROW_RE.match(line)
+            if m:
+                names.add(m.group(1))
+        elif in_table:
+            break
+    return sorted(names)
 
 
 def site(path, lineno1):
@@ -911,8 +919,7 @@ def extract_model(scans, root):
     if os.path.isfile(doc_path):
         with open(doc_path, "r", encoding="utf-8", errors="replace") as f:
             doc = f.read()
-        model["metrics"]["documented"] = sorted(set(
-            DOC_METRIC_RE.findall(doc)))
+        model["metrics"]["documented"] = documented_metrics(doc)
 
     # Pass F: suppression inventory (liveness filled in by the caller).
     for scan in sorted(scans.values(), key=lambda s: s.path):
@@ -1034,85 +1041,6 @@ def canonical_model(model):
     return json.dumps(model, indent=2, sort_keys=True) + "\n"
 
 
-# --- Clang engine (optional) --------------------------------------------------
-
-def scan_files_clang(root, paths):
-    """AST-based augmentation pass for D1/D2/D3/D6 via the clang Python
-    bindings. The regex pass is always the floor; AST findings are unioned
-    in (deduplicated by site), so enabling clang can only add resolution,
-    never lose a regex-detectable finding. Returns None if libclang is
-    unavailable so the caller can fall back."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        index = cindex.Index.create()
-    except Exception:  # missing libclang.so despite bindings
-        return None
-
-    banned_calls = {
-        "gettimeofday": "D1", "clock_gettime": "D1", "time": "D1",
-        "clock": "D1", "localtime": "D1", "gmtime": "D1", "mktime": "D1",
-        "rand": "D2", "srand": "D2", "arc4random": "D2", "getentropy": "D2",
-    }
-    banned_types = {
-        "std::random_device": "D2", "std::mt19937": "D2",
-        "std::mt19937_64": "D2", "std::default_random_engine": "D2",
-        "std::thread": "D6", "std::jthread": "D6", "std::mutex": "D6",
-        "std::condition_variable": "D6", "std::atomic": "D6",
-    }
-    findings = []
-    args = ["-std=c++20", "-I" + os.path.join(root, "src"),
-            "-I" + os.path.join(root, "bench")]
-    for path in paths:
-        full = os.path.join(root, path)
-        try:
-            tu = index.parse(full, args=args)
-        except cindex.TranslationUnitLoadError:
-            continue
-        for cursor in tu.cursor.walk_preorder():
-            loc = cursor.location
-            if not loc.file or os.path.abspath(loc.file.name) != \
-                    os.path.abspath(full):
-                continue
-            rule = None
-            if cursor.kind == cindex.CursorKind.CALL_EXPR and \
-                    cursor.spelling in banned_calls:
-                rule = banned_calls[cursor.spelling]
-            elif cursor.kind in (cindex.CursorKind.VAR_DECL,
-                                 cindex.CursorKind.FIELD_DECL):
-                type_name = cursor.type.get_canonical().spelling
-                for banned, r in banned_types.items():
-                    if type_name.startswith(banned):
-                        rule = r
-                        break
-                if rule is None and rel_in(path, PROTOCOL_DIRS) and \
-                        ("unordered_map" in type_name or
-                         "unordered_set" in type_name):
-                    rule = "D3"
-            elif cursor.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT:
-                children = list(cursor.get_children())
-                if children:
-                    range_type = children[-2].type.get_canonical().spelling \
-                        if len(children) >= 2 else ""
-                    if rel_in(path, PROTOCOL_DIRS) and (
-                            "unordered_map" in range_type or
-                            "unordered_set" in range_type):
-                        rule = "D3"
-            if rule and not allowlisted(rule, path):
-                with open(full, "r", encoding="utf-8", errors="replace") as f:
-                    raw = f.read().splitlines()
-                lineno = loc.line
-                comment = raw[lineno - 1] if lineno <= len(raw) else ""
-                prev = raw[lineno - 2] if lineno >= 2 else ""
-                if rule in suppressions(comment) | suppressions(prev):
-                    continue
-                snippet = raw[lineno - 1] if lineno <= len(raw) else ""
-                findings.append(Finding(rule, path, lineno, snippet))
-    return findings
-
-
 # --- Driver -------------------------------------------------------------------
 
 def collect_files(root, explicit):
@@ -1140,23 +1068,11 @@ def collect_files(root, explicit):
     return paths
 
 
-def run_scan(root, files, engine, full_scan=True):
-    """Returns (findings, engine_used, model). `full_scan` enables the
+def run_scan(root, files, full_scan=True):
+    """Returns (findings, model). `full_scan` enables the
     cross-file model rules (D8/D9/D11-doc/D12); partial scans (explicit file
     arguments) run the per-line rules only, since "never read"/"never
     dispatched" cannot be decided from a subset of the tree."""
-    engine_used = "regex"
-    clang_findings = None
-    if engine in ("clang", "auto"):
-        clang_findings = scan_files_clang(root, files)
-        if clang_findings is None:
-            if engine == "clang":
-                sys.stderr.write(
-                    "detlint: clang python bindings unavailable; "
-                    "falling back to --engine=regex\n")
-        else:
-            engine_used = "clang+regex"
-
     scans = {}
     for path in files:
         full = os.path.join(root, path)
@@ -1179,22 +1095,19 @@ def run_scan(root, files, engine, full_scan=True):
     findings = []
     for path in sorted(scans):
         findings.extend(scans[path].findings)
-    if clang_findings is not None:
-        findings += clang_findings
     seen = set()
     deduped = []
     for f in sorted(findings, key=Finding.key):
         if f.key() not in seen:
             seen.add(f.key())
             deduped.append(f)
-    return deduped, engine_used, model
+    return deduped, model
 
 
-def report(findings, engine_used, json_out, quiet=False):
+def report(findings, json_out, quiet=False):
     doc = {
         "tool": "detlint",
         "version": VERSION,
-        "engine": engine_used,
         "counts": {},
         "findings": [f.to_json() for f in findings],
     }
@@ -1214,9 +1127,8 @@ def report(findings, engine_used, json_out, quiet=False):
             print("    fix: %s" % f.suggestion)
         summary = ", ".join("%s=%d" % (r, n)
                             for r, n in sorted(doc["counts"].items()))
-        print("detlint (%s): %d finding(s)%s" %
-              (engine_used, len(findings),
-               (" [" + summary + "]") if summary else ""))
+        print("detlint: %d finding(s)%s" %
+              (len(findings), (" [" + summary + "]") if summary else ""))
 
 
 def write_sarif(findings, path):
@@ -1286,7 +1198,7 @@ def selftest(tool_dir):
                 if m:
                     for rule in re.split(r"\s*,\s*", m.group(1)):
                         expected.add((path, lineno, rule))
-    findings, _, _ = run_scan(corpus, files, "regex")
+    findings, _ = run_scan(corpus, files)
     found = {f.key() for f in findings}
     missed = sorted(expected - found)
     surprise = sorted(found - expected)
@@ -1305,38 +1217,10 @@ def selftest(tool_dir):
     return 0 if ok else 1
 
 
-def parity(tool_dir):
-    """Engine parity: when libclang is importable, --engine=clang and the
-    regex engine must produce identical finding sets over the fixture
-    corpus (the AST pass may only confirm regex findings, never diverge).
-    Exit 77 (skip) when the bindings are unavailable."""
-    corpus = os.path.join(tool_dir, "fixtures", "corpus")
-    files = collect_files(corpus, None)
-    regex_findings, _, _ = run_scan(corpus, files, "regex")
-    clang_findings, engine_used, _ = run_scan(corpus, files, "clang")
-    if engine_used == "regex":
-        print("detlint parity: SKIP (clang python bindings unavailable)")
-        return EXIT_SKIP
-    regex_keys = {f.key() for f in regex_findings}
-    clang_keys = {f.key() for f in clang_findings}
-    only_regex = sorted(regex_keys - clang_keys)
-    only_clang = sorted(clang_keys - regex_keys)
-    for path, line, rule in only_regex:
-        print("REGEX-ONLY  %s:%d %s" % (path, line, rule))
-    for path, line, rule in only_clang:
-        print("CLANG-ONLY  %s:%d %s" % (path, line, rule))
-    ok = not only_regex and not only_clang
-    print("detlint parity: %s (%d regex vs %d clang findings)"
-          % ("PASS" if ok else "FAIL", len(regex_keys), len(clang_keys)))
-    return 0 if ok else 1
-
-
 def main(argv):
     parser = argparse.ArgumentParser(prog="detlint", add_help=True)
     parser.add_argument("--root", default=None,
                         help="repo root (default: two levels above this file)")
-    parser.add_argument("--engine", choices=("regex", "clang", "auto"),
-                        default="regex")
     parser.add_argument("--json", nargs="?", const="-", default=None,
                         metavar="PATH", help="machine-readable output "
                         "(to stdout with no PATH)")
@@ -1351,9 +1235,6 @@ def main(argv):
                         "against a committed JSON artifact; exit 1 on drift")
     parser.add_argument("--selftest", action="store_true",
                         help="check the rules against the fixture corpus")
-    parser.add_argument("--parity", action="store_true",
-                        help="require regex and clang engines to agree over "
-                        "the fixture corpus (exit 77 if clang unavailable)")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("files", nargs="*")
     args = parser.parse_args(argv)
@@ -1366,8 +1247,6 @@ def main(argv):
         return 0
     if args.selftest:
         return selftest(tool_dir)
-    if args.parity:
-        return parity(tool_dir)
 
     root = args.root or os.path.dirname(os.path.dirname(tool_dir))
     root = os.path.abspath(root)
@@ -1377,8 +1256,7 @@ def main(argv):
                          "scan (no explicit file arguments)\n")
         return 2
     files = collect_files(root, args.files or None)
-    findings, engine_used, model = run_scan(root, files, args.engine,
-                                            full_scan=full_scan)
+    findings, model = run_scan(root, files, full_scan=full_scan)
     if args.model is not None:
         text = canonical_model(model)
         if args.model == "-":
@@ -1409,7 +1287,7 @@ def main(argv):
         print("detlint model drift: OK (model matches committed artifact)")
     if args.sarif is not None:
         write_sarif(findings, args.sarif)
-    report(findings, engine_used, args.json, quiet=(args.model == "-"))
+    report(findings, args.json, quiet=(args.model == "-"))
     return 1 if findings else 0
 
 

@@ -21,6 +21,8 @@ struct Probe {
     metrics_.histogram("fixture.lat_us");
     // Positive: literal name missing from the registry doc.
     metrics_.counter("fixture.undocumented");  // detlint-expect: D11
+    // Positive: named in the doc's prose, but no registry-table row.
+    metrics_.counter("fixture.prose_only");  // detlint-expect: D11
     // Positives: dynamically constructed names.
     metrics_.add("fixture.term." + std::to_string(term), 1);  // detlint-expect: D11
     const std::string picked = pick();
