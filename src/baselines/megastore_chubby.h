@@ -41,23 +41,23 @@ struct ChubbyConfig {
 };
 
 namespace chubby_msg {
-inline constexpr const char* kKeepAlive = "chubby.keepalive";
-inline constexpr const char* kLeaseGrant = "chubby.leasegrant";
-inline constexpr const char* kQuery = "chubby.query";
-inline constexpr const char* kQueryReply = "chubby.queryreply";
-
-struct KeepAlive {};
+struct KeepAlive {
+  static constexpr const char* kType = "chubby.keepalive";
+};
 struct LeaseGrant {
+  static constexpr const char* kType = "chubby.leasegrant";
   Duration ttl;
 };
 struct Query {
-  int subject;           // whose session is being asked about
-  std::int64_t query_id;
+  static constexpr const char* kType = "chubby.query";
+  int subject = 0;  // whose session is being asked about
+  std::int64_t query_id = 0;
 };
 struct QueryReply {
-  int subject;
-  std::int64_t query_id;
-  bool session_expired;
+  static constexpr const char* kType = "chubby.queryreply";
+  int subject = 0;
+  std::int64_t query_id = 0;
+  bool session_expired = false;
 };
 }  // namespace chubby_msg
 

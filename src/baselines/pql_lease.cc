@@ -35,7 +35,7 @@ void PqlProcess::renewal_tick() {
   // (coalescing with any other record replays pending in the window).
   const std::int64_t round = round_;
   request_sync([this, round] {
-    broadcast(msg::kPromise, msg::Promise{round});
+    broadcast(msg::Promise{round});
   });
   schedule_after(config_.renewal_interval(), [this] { renewal_tick(); });
 }
@@ -73,7 +73,7 @@ void PqlProcess::begin_write() {
         maybe_finish_write();
       });
   pending_writes_.push_back(std::move(write));
-  broadcast(msg::kRevoke, msg::Revoke{write_seq_});
+  broadcast(msg::Revoke{write_seq_});
   maybe_finish_write();
 }
 
@@ -93,32 +93,28 @@ void PqlProcess::maybe_finish_write() {
 
 void PqlProcess::on_message(const sim::Message& message) {
   clock_guard_.observe(message.sent_local, now_local(), now_real());
-  if (message.is(msg::kPromise)) {
-    send(message.from, msg::kPromiseAck,
-         msg::PromiseAck{message.as<msg::Promise>().round});
-  } else if (message.is(msg::kPromiseAck)) {
+  if (const auto* promise = message.get<msg::Promise>()) {
+    send(message.from, msg::PromiseAck{promise->round});
+  } else if (const auto* ack = message.get<msg::PromiseAck>()) {
     // Round trip one done: activate the guarantee with a second round trip.
-    send(message.from, msg::kGuarantee,
-         msg::Guarantee{message.as<msg::PromiseAck>().round});
-  } else if (message.is(msg::kGuarantee)) {
+    send(message.from, msg::Guarantee{ack->round});
+  } else if (const auto* guarantee = message.get<msg::Guarantee>()) {
     if (now_real() >= revoke_quiet_until_) {
       guarantee_expiry_[message.from.index()] =
           now_real() + config_.lease_duration();
     }
-    send(message.from, msg::kGuaranteeAck,
-         msg::GuaranteeAck{message.as<msg::Guarantee>().round});
-  } else if (message.is(msg::kGuaranteeAck)) {
+    send(message.from, msg::GuaranteeAck{guarantee->round});
+  } else if (message.get<msg::GuaranteeAck>() != nullptr) {
     // Grantor bookkeeping only.
-  } else if (message.is(msg::kRevoke)) {
+  } else if (const auto* revoke = message.get<msg::Revoke>()) {
     // Drop every guarantee and ignore in-flight ones: reads stop being
     // local until the next full renewal completes.
     guarantee_expiry_.assign(cluster_size(), RealTime::min());
     revoke_quiet_until_ = now_real() + config_.revoke_quiet();
-    send(message.from, msg::kRevokeAck,
-         msg::RevokeAck{message.as<msg::Revoke>().write_seq});
-  } else if (message.is(msg::kRevokeAck)) {
+    send(message.from, msg::RevokeAck{revoke->write_seq});
+  } else if (const auto* revoke_ack = message.get<msg::RevokeAck>()) {
     for (auto& write : pending_writes_) {
-      if (write.seq == message.as<msg::RevokeAck>().write_seq) {
+      if (write.seq == revoke_ack->write_seq) {
         write.acked[message.from.index()] = true;
       }
     }

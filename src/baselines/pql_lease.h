@@ -47,30 +47,29 @@ struct PqlConfig {
 };
 
 namespace msg {
-inline constexpr const char* kPromise = "pql.promise";
-inline constexpr const char* kPromiseAck = "pql.promiseack";
-inline constexpr const char* kGuarantee = "pql.guarantee";
-inline constexpr const char* kGuaranteeAck = "pql.guaranteeack";
-inline constexpr const char* kRevoke = "pql.revoke";
-inline constexpr const char* kRevokeAck = "pql.revokeack";
-
 struct Promise {
-  std::int64_t round;
+  static constexpr const char* kType = "pql.promise";
+  std::int64_t round = 0;
 };
 struct PromiseAck {
-  std::int64_t round;
+  static constexpr const char* kType = "pql.promiseack";
+  std::int64_t round = 0;
 };
 struct Guarantee {
-  std::int64_t round;
+  static constexpr const char* kType = "pql.guarantee";
+  std::int64_t round = 0;
 };
 struct GuaranteeAck {
-  std::int64_t round;
+  static constexpr const char* kType = "pql.guaranteeack";
+  std::int64_t round = 0;
 };
 struct Revoke {
-  std::int64_t write_seq;
+  static constexpr const char* kType = "pql.revoke";
+  std::int64_t write_seq = 0;
 };
 struct RevokeAck {
-  std::int64_t write_seq;
+  static constexpr const char* kType = "pql.revokeack";
+  std::int64_t write_seq = 0;
 };
 }  // namespace msg
 
@@ -107,7 +106,7 @@ class PqlProcess : public sim::Process {
 
  private:
   struct PendingWrite {
-    std::int64_t seq;
+    std::int64_t seq = 0;
     std::vector<bool> acked;
     sim::EventHandle expiry_timer;
   };

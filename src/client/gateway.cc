@@ -3,46 +3,46 @@
 namespace cht::client {
 
 bool ReplicaGateway::handle(const sim::Message& message) {
-  if (!message.is(msg::kRequest)) return false;
-  const auto& request = message.as<msg::ClientRequest>();
+  const auto* request = message.get<msg::ClientRequest>();
+  if (request == nullptr) return false;
 
-  if (request.is_read) {
-    if ((request.leader_only || !hooks_.local_reads) && !hooks_.is_leader()) {
-      redirect(message.from, request.id);
+  if (request->is_read) {
+    if ((request->leader_only || !hooks_.local_reads) && !hooks_.is_leader()) {
+      redirect(message.from, request->id);
       return true;
     }
     metrics_.add("gateway.reads");
     const ProcessId from = message.from;
-    const OperationId id = request.id;
-    hooks_.submit_read(request.op, [this, from, id](std::string response) {
+    const OperationId id = request->id;
+    hooks_.submit_read(request->op, [this, from, id](std::string response) {
       reply(from, id, response);
     });
     return true;
   }
 
-  switch (sessions_.admit(request.id)) {
+  switch (sessions_.admit(request->id)) {
     case SessionTable::Admit::kStale:
       metrics_.add("gateway.stale_dropped");
       return true;
     case SessionTable::Admit::kDuplicate:
       metrics_.add("gateway.dup_replies");
-      reply(message.from, request.id, *sessions_.cached(request.id));
+      reply(message.from, request->id, *sessions_.cached(request->id));
       return true;
     case SessionTable::Admit::kFresh:
       break;
   }
   if (!hooks_.accepts_rmw()) {
-    redirect(message.from, request.id);
+    redirect(message.from, request->id);
     return true;
   }
   metrics_.add("gateway.rmws");
   // Remember (or refresh) the waiter first: submit_rmw may apply and reply
   // synchronously in a single-replica cluster.
-  rmw_waiters_[request.id.process.index()] = {request.id, message.from};
+  rmw_waiters_[request->id.process.index()] = {request->id, message.from};
   // Always (re)submit on a fresh id — the stack dedups ids already pending
   // or in its log, and a retry after this replica lost and regained
   // leadership may genuinely need the re-injection.
-  hooks_.submit_rmw(request.id, request.op);
+  hooks_.submit_rmw(request->id, request->op);
   return true;
 }
 
@@ -59,12 +59,12 @@ void ReplicaGateway::on_applied(const OperationId& id,
 
 void ReplicaGateway::reply(ProcessId to, const OperationId& id,
                            const std::string& response) {
-  host_.send(to, msg::kReply, msg::ClientReply{id, response});
+  host_.send(to, msg::ClientReply{id, response});
 }
 
 void ReplicaGateway::redirect(ProcessId to, const OperationId& id) {
   metrics_.add("gateway.redirects");
-  host_.send(to, msg::kRedirect, msg::Redirect{id, hooks_.leader_hint()});
+  host_.send(to, msg::Redirect{id, hooks_.leader_hint()});
 }
 
 }  // namespace cht::client

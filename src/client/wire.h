@@ -29,11 +29,8 @@
 namespace cht::client {
 namespace msg {
 
-inline constexpr const char* kRequest = "client.request";
-inline constexpr const char* kReply = "client.reply";
-inline constexpr const char* kRedirect = "client.redirect";
-
 struct ClientRequest {
+  static constexpr const char* kType = "client.request";
   OperationId id;
   object::Operation op;
   bool is_read = false;
@@ -41,11 +38,13 @@ struct ClientRequest {
 };
 
 struct ClientReply {
+  static constexpr const char* kType = "client.reply";
   OperationId id;
   std::string response;
 };
 
 struct Redirect {
+  static constexpr const char* kType = "client.redirect";
   OperationId id;
   int leader_hint = -1;
 };

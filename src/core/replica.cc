@@ -221,8 +221,9 @@ void Replica::rmw_send(const OperationId& id) {
   const msg::RmwRequest request{id, it->second.op};
   if (leader == this->id()) {
     on_rmw_request(this->id(), request);
+    if (!pending_rmw_.contains(id)) return;  // committed synchronously
   } else {
-    send(leader, msg::kRmwRequest, request);
+    send(leader, request);
   }
   // Re-send periodically: rides out pre-GST message loss and changes in the
   // leader belief (paper lines 2-5).
@@ -493,7 +494,7 @@ bool Replica::check_still_leader() {
 void Replica::send_est_reqs() {
   if (phase_ != Phase::kCollecting) return;
   if (!check_still_leader()) return;
-  broadcast(msg::kEstReq, msg::EstReq{leader_time_});
+  broadcast(msg::EstReq{leader_time_});
   estreq_timer_ =
       schedule_after(config_.estreq_resend(), [this] { send_est_reqs(); });
 }
@@ -537,7 +538,7 @@ void Replica::fetch_tick() {
   const BatchNumber upto = chosen_.has_value() ? chosen_->k - 1 : 0;
   for (BatchNumber j = 1; j <= upto; ++j) {
     if (!batches_.contains(j)) {
-      broadcast(msg::kBatchRequest, msg::BatchRequest{j});
+      broadcast(msg::BatchRequest{j});
     }
   }
   fetch_timer_ =
@@ -644,8 +645,7 @@ void Replica::send_prepares() {
     CHT_ASSERT(it != batches_.end(), "preparing j without committed j-1");
     prev = it->second;
   }
-  broadcast(msg::kPrepare,
-            msg::Prepare{doops_->ops, leader_time_, doops_->number, prev});
+  broadcast(msg::Prepare{doops_->ops, leader_time_, doops_->number, prev});
   doops_->resend_timer =
       schedule_after(config_.prepare_resend(), [this] { send_prepares(); });
 }
@@ -724,7 +724,7 @@ void Replica::finish_doops() {
   pending_batch_.erase(number);
   apply_ready();
   leader_next_batch_ = number + 1;
-  broadcast(msg::kCommit, msg::Commit{ops, number});
+  broadcast(msg::Commit{ops, number});
   last_commit_rebroadcast_ = now_real();
   c_batches_committed_->inc();
   end_span(span_doops_gate_, "span.doops.gate");
@@ -777,7 +777,7 @@ void Replica::steady_tick() {
     const BatchNumber last = leader_next_batch_ - 1;
     auto it = batches_.find(last);
     if (it != batches_.end()) {
-      broadcast(msg::kCommit, msg::Commit{it->second, last});
+      broadcast(msg::Commit{it->second, last});
       last_commit_rebroadcast_ = now_real();
     }
   }
@@ -807,8 +807,7 @@ void Replica::issue_leases(LocalTime now) {
   trace_event("lease.grant",
               "k=" + std::to_string(leader_next_batch_ - 1) + " holders=" +
                   std::to_string(leaseholders_.size()));
-  broadcast(msg::kLeaseGrant,
-            msg::LeaseGrant{leader_next_batch_ - 1, now, leaseholders_});
+  broadcast(msg::LeaseGrant{leader_next_batch_ - 1, now, leaseholders_});
 }
 
 void Replica::maybe_start_next_batch() {
@@ -842,32 +841,31 @@ void Replica::on_message(const sim::Message& message) {
   if (els_.handle_message(message)) return;
   if (gateway_.handle(message)) return;
 
-  if (message.is(msg::kRmwRequest)) {
-    on_rmw_request(message.from, message.as<msg::RmwRequest>());
-  } else if (message.is(msg::kEstReq)) {
-    on_est_req(message.from, message.as<msg::EstReq>());
-  } else if (message.is(msg::kEstReply)) {
-    on_est_reply(message.from, message.as<msg::EstReply>());
-  } else if (message.is(msg::kPrepare)) {
-    on_prepare(message.from, message.as<msg::Prepare>());
-  } else if (message.is(msg::kPrepareAck)) {
-    on_prepare_ack(message.from, message.as<msg::PrepareAck>());
-  } else if (message.is(msg::kCommit)) {
-    on_commit(message.as<msg::Commit>());
-  } else if (message.is(msg::kLeaseGrant)) {
-    on_lease_grant(message.from, message.as<msg::LeaseGrant>());
-  } else if (message.is(msg::kLeaseRequest)) {
+  if (const auto* rmw = message.get<msg::RmwRequest>()) {
+    on_rmw_request(message.from, *rmw);
+  } else if (const auto* est_req = message.get<msg::EstReq>()) {
+    on_est_req(message.from, *est_req);
+  } else if (const auto* est_reply = message.get<msg::EstReply>()) {
+    on_est_reply(message.from, *est_reply);
+  } else if (const auto* prepare = message.get<msg::Prepare>()) {
+    on_prepare(message.from, *prepare);
+  } else if (const auto* ack = message.get<msg::PrepareAck>()) {
+    on_prepare_ack(message.from, *ack);
+  } else if (const auto* commit = message.get<msg::Commit>()) {
+    on_commit(*commit);
+  } else if (const auto* grant = message.get<msg::LeaseGrant>()) {
+    on_lease_grant(message.from, *grant);
+  } else if (message.get<msg::LeaseRequest>() != nullptr) {
     // Reintegration (line 46): the process asks to hold leases again.
     if (phase_ == Phase::kSteady) leaseholders_.insert(message.from.index());
-  } else if (message.is(msg::kReadRequest)) {
-    on_read_request(message.from, message.as<msg::ReadRequest>());
-  } else if (message.is(msg::kReadReply)) {
-    on_read_reply(message.as<msg::ReadReply>());
-  } else if (message.is(msg::kBatchRequest)) {
-    on_batch_request(message.from, message.as<msg::BatchRequest>());
-  } else if (message.is(msg::kBatchReply)) {
-    const auto& reply = message.as<msg::BatchReply>();
-    store_batch(reply.number, reply.ops);
+  } else if (const auto* read = message.get<msg::ReadRequest>()) {
+    on_read_request(message.from, *read);
+  } else if (const auto* reply = message.get<msg::ReadReply>()) {
+    on_read_reply(*reply);
+  } else if (const auto* fetch = message.get<msg::BatchRequest>()) {
+    on_batch_request(message.from, *fetch);
+  } else if (const auto* batch = message.get<msg::BatchReply>()) {
+    store_batch(batch->number, batch->ops);
     apply_ready();
     if (phase_ == Phase::kFetching) maybe_finish_fetching();
   } else {
@@ -883,7 +881,7 @@ void Replica::on_rmw_request(ProcessId from, const msg::RmwRequest& request) {
     if (from != id()) {
       auto it = batches_.find(committed->second);
       CHT_ASSERT(it != batches_.end(), "committed map points at missing batch");
-      send(from, msg::kCommit, msg::Commit{it->second, committed->second});
+      send(from, msg::Commit{it->second, committed->second});
     }
     return;
   }
@@ -901,7 +899,7 @@ void Replica::forward_read_send(const OperationId& id) {
     on_read_request(this->id(), request);
     if (!forwarded_reads_.contains(id)) return;  // answered synchronously
   } else {
-    send(leader, msg::kReadRequest, request);
+    send(leader, request);
   }
   it->second.retry_timer = schedule_after(
       config_.rmw_retry(), [this, id] { forward_read_send(id); });
@@ -919,7 +917,7 @@ void Replica::on_read_request(ProcessId from, const msg::ReadRequest& request) {
   if (from == id()) {
     on_read_reply(msg::ReadReply{request.id, response});
   } else {
-    send(from, msg::kReadReply, msg::ReadReply{request.id, response});
+    send(from, msg::ReadReply{request.id, response});
   }
 }
 
@@ -953,7 +951,7 @@ void Replica::on_est_req(ProcessId from, const msg::EstReq& request) {
   // pending in one group-commit window share a single sync() and their
   // replies depart as one burst.
   persist_promised();
-  request_sync([this, from, reply] { send(from, msg::kEstReply, reply); });
+  request_sync([this, from, reply] { send(from, reply); });
 }
 
 void Replica::adopt_estimate(Batch ops, LocalTime t, BatchNumber j) {
@@ -1006,7 +1004,7 @@ void Replica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
     // restores state at least as advanced as what was acked.
     persist_promised();
     const msg::PrepareAck ack{prepare.leader_time, prepare.number};
-    request_sync([this, from, ack] { send(from, msg::kPrepareAck, ack); });
+    request_sync([this, from, ack] { send(from, ack); });
   }
 }
 
@@ -1024,7 +1022,7 @@ void Replica::on_lease_grant(ProcessId from, const msg::LeaseGrant& grant) {
   if (!grant.leaseholders.contains(id().index())) {
     // We were dropped from the leaseholder set (we missed a Prepare round);
     // ask to be reintegrated (lines 45-46 / 102-104).
-    send(from, msg::kLeaseRequest, msg::LeaseRequest{});
+    send(from, msg::LeaseRequest{});
     return;
   }
   if (!lease_.has_value() || lease_->issued < grant.issued) {
@@ -1038,7 +1036,7 @@ void Replica::on_batch_request(ProcessId from,
                                const msg::BatchRequest& request) {
   auto it = batches_.find(request.number);
   if (it == batches_.end()) return;
-  send(from, msg::kBatchReply, msg::BatchReply{request.number, it->second});
+  send(from, msg::BatchReply{request.number, it->second});
 }
 
 // ===========================================================================
@@ -1110,7 +1108,7 @@ void Replica::request_missing_batches() {
   for (BatchNumber j = applied_upto_ + 1; j <= target && outstanding < 64;
        ++j) {
     if (!batches_.contains(j)) {
-      broadcast(msg::kBatchRequest, msg::BatchRequest{j});
+      broadcast(msg::BatchRequest{j});
       ++outstanding;
     }
   }

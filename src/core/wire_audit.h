@@ -2,27 +2,24 @@
 // counterpart). Pulled in by tests only — it includes every protocol's
 // message header, so it must never be included from protocol code itself.
 //
-// Two tiers:
-//   - Fixed-size payloads (no vectors/strings/optionals) must be trivially
-//     copyable and standard-layout: they could be memcpy'd onto a real wire
-//     verbatim, and a default-constructed instance has no indeterminate
-//     bits (every scalar field carries a member initializer, enforced
-//     statically by detlint D5 and exercised here via value-initialization
-//     equality in the determinism tests).
-//   - Variable-size payloads (carrying Batch/std::vector/std::string)
-//     cannot be trivially copyable, but their handles must still be
-//     default-constructible and copyable so the simulated network's
-//     std::any envelopes behave like value serialization.
+// Fixed-size payloads (no vectors/strings/optionals) must stay trivially
+// copyable and standard-layout: they could be memcpy'd onto a real wire
+// verbatim, and a default-constructed instance has no indeterminate bits
+// (every scalar field carries a member initializer, enforced by detlint D5).
+// That every payload is a copyable value is asserted by Process::send<T>.
 #pragma once
 
 #include <type_traits>
 
+#include "baselines/megastore_chubby.h"
+#include "baselines/pql_lease.h"
 #include "client/wire.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "core/messages.h"
+#include "leader/enhanced_leader.h"
+#include "leader/omega.h"
 #include "raft/raft.h"
-#include "sim/message.h"
 #include "vr/vr.h"
 
 namespace cht::audit {
@@ -31,11 +28,6 @@ template <class T>
 inline constexpr bool wire_scalar_v =
     std::is_trivially_copyable_v<T> && std::is_standard_layout_v<T> &&
     std::is_default_constructible_v<T>;
-
-template <class T>
-inline constexpr bool wire_value_v =
-    std::is_default_constructible_v<T> && std::is_copy_constructible_v<T> &&
-    std::is_copy_assignable_v<T>;
 
 // --- Identifier & time vocabulary (common/) ---------------------------------
 static_assert(wire_scalar_v<ProcessId>);
@@ -51,44 +43,34 @@ static_assert(wire_scalar_v<core::msg::EstReq>);
 static_assert(wire_scalar_v<core::msg::PrepareAck>);
 static_assert(wire_scalar_v<core::msg::LeaseRequest>);
 static_assert(wire_scalar_v<core::msg::BatchRequest>);
-static_assert(wire_value_v<core::Estimate>);
-static_assert(wire_value_v<core::msg::RmwRequest>);
-static_assert(wire_value_v<core::msg::EstReply>);
-static_assert(wire_value_v<core::msg::Prepare>);
-static_assert(wire_value_v<core::msg::Commit>);
-static_assert(wire_value_v<core::msg::LeaseGrant>);
-static_assert(wire_value_v<core::msg::BatchReply>);
-static_assert(wire_value_v<core::msg::ReadRequest>);
-static_assert(wire_value_v<core::msg::ReadReply>);
 
 // --- Raft baseline (raft/raft.h) --------------------------------------------
 static_assert(wire_scalar_v<raft::msg::RequestVote>);
 static_assert(wire_scalar_v<raft::msg::VoteReply>);
 static_assert(wire_scalar_v<raft::msg::AppendReply>);
-static_assert(wire_value_v<raft::LogEntry>);
-static_assert(wire_value_v<raft::msg::AppendEntries>);
-static_assert(wire_value_v<raft::msg::ClientRmw>);
-static_assert(wire_value_v<raft::msg::ClientRead>);
-static_assert(wire_value_v<raft::msg::ReadReply>);
 
 // --- Viewstamped Replication baseline (vr/vr.h) -----------------------------
 static_assert(wire_scalar_v<vr::msg::PrepareOk>);
 static_assert(wire_scalar_v<vr::msg::Commit>);
 static_assert(wire_scalar_v<vr::msg::StartViewChange>);
 static_assert(wire_scalar_v<vr::msg::GetState>);
-static_assert(wire_value_v<vr::VrLogEntry>);
-static_assert(wire_value_v<vr::msg::Request>);
-static_assert(wire_value_v<vr::msg::Prepare>);
-static_assert(wire_value_v<vr::msg::DoViewChange>);
-static_assert(wire_value_v<vr::msg::StartView>);
-static_assert(wire_value_v<vr::msg::NewState>);
+static_assert(wire_scalar_v<vr::msg::Recovery>);
 
 // --- Networked client path (client/wire.h) ----------------------------------
 static_assert(wire_scalar_v<client::msg::Redirect>);
-static_assert(wire_value_v<client::msg::ClientRequest>);
-static_assert(wire_value_v<client::msg::ClientReply>);
 
-// --- Simulator envelope (sim/message.h) -------------------------------------
-static_assert(wire_value_v<sim::Message>);
+// --- Leader service and lease baselines (leader/, baselines/) --------------
+static_assert(wire_scalar_v<leader::Heartbeat>);
+static_assert(wire_scalar_v<leader::SupportGrant>);
+static_assert(wire_scalar_v<baselines::msg::Promise>);
+static_assert(wire_scalar_v<baselines::msg::PromiseAck>);
+static_assert(wire_scalar_v<baselines::msg::Guarantee>);
+static_assert(wire_scalar_v<baselines::msg::GuaranteeAck>);
+static_assert(wire_scalar_v<baselines::msg::Revoke>);
+static_assert(wire_scalar_v<baselines::msg::RevokeAck>);
+static_assert(wire_scalar_v<baselines::chubby_msg::KeepAlive>);
+static_assert(wire_scalar_v<baselines::chubby_msg::LeaseGrant>);
+static_assert(wire_scalar_v<baselines::chubby_msg::Query>);
+static_assert(wire_scalar_v<baselines::chubby_msg::QueryReply>);
 
 }  // namespace cht::audit

@@ -76,13 +76,14 @@ void EnhancedLeaderService::deliver_grant(ProcessId target,
   if (target == host_.id()) {
     record_support(host_.id(), grant);  // self-support needs no message
   } else {
-    host_.send(target, kSupportType, grant);
+    host_.send(target, grant);
   }
 }
 
 bool EnhancedLeaderService::handle_message(const sim::Message& message) {
-  if (!message.is(kSupportType)) return false;
-  record_support(message.from, message.as<SupportGrant>());
+  const auto* grant = message.get<SupportGrant>();
+  if (grant == nullptr) return false;
+  record_support(message.from, *grant);
   return true;
 }
 

@@ -50,8 +50,9 @@ struct EnhancedLeaderConfig {
   Duration history_horizon = Duration::seconds(10);
 };
 
-// Payload of "els.support" messages.
+// A supporter's grant to its believed leader.
 struct SupportGrant {
+  static constexpr const char* kType = "els.support";
   std::int64_t counter = 0;
   LocalTime start;
   LocalTime end;
@@ -83,8 +84,6 @@ class EnhancedLeaderService {
   ProcessId believed_leader() { return leader_fn_(); }
 
   bool handle_message(const sim::Message& message);
-
-  static constexpr const char* kSupportType = "els.support";
 
  private:
   struct Interval {

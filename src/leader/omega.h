@@ -8,8 +8,8 @@
 // after GST it converges to the smallest-id correct process, satisfying
 // Omega. The timeout must exceed heartbeat_interval + delta + epsilon.
 //
-// This is a *component*: it is hosted by a sim::Process, sends it own
-// message types ("omega.hb") and owns its timers.
+// This is a *component*: it is hosted by a sim::Process, sends its own
+// message type (Heartbeat) and owns its timers.
 #pragma once
 
 #include <vector>
@@ -20,6 +20,10 @@
 #include "sim/process.h"
 
 namespace cht::leader {
+
+struct Heartbeat {
+  static constexpr const char* kType = "omega.hb";
+};
 
 struct OmegaConfig {
   Duration heartbeat_interval = Duration::millis(5);
@@ -38,8 +42,6 @@ class OmegaDetector {
 
   // Returns true iff the message belonged to this component.
   bool handle_message(const sim::Message& message);
-
-  static constexpr const char* kHeartbeatType = "omega.hb";
 
  private:
   void send_heartbeat();

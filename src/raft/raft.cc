@@ -173,8 +173,8 @@ void RaftReplica::start_election() {
     if (role_ != Role::kCandidate || term_ != t) {
       return;  // a leader emerged (or a newer term) while the sync ran
     }
-    broadcast(msg::kRequestVote, msg::RequestVote{term_, last_log_index(),
-                                                  term_at(last_log_index())});
+    broadcast(
+        msg::RequestVote{term_, last_log_index(), term_at(last_log_index())});
     reset_election_timer();
     if (static_cast<int>(votes_.size()) >= majority()) become_leader();  // n == 1
   });
@@ -237,7 +237,7 @@ void RaftReplica::on_request_vote(ProcessId from,
   // inflated term from disrupting a healthy leader.
   if (last_leader_contact_ != LocalTime::min() &&
       now_local() < last_leader_contact_ + config_.election_timeout_min) {
-    send(from, msg::kVoteReply, msg::VoteReply{term_, false});
+    send(from, msg::VoteReply{term_, false});
     return;
   }
   if (request.term > term_) become_follower(request.term);
@@ -261,12 +261,12 @@ void RaftReplica::on_request_vote(ProcessId from,
       reset_election_timer();
       const std::int64_t t = term_;
       request_sync([this, from, t] {
-        send(from, msg::kVoteReply, msg::VoteReply{t, true});
+        send(from, msg::VoteReply{t, true});
       });
       return;
     }
   }
-  send(from, msg::kVoteReply, msg::VoteReply{term_, granted});
+  send(from, msg::VoteReply{term_, granted});
 }
 
 void RaftReplica::on_vote_reply(ProcessId from, const msg::VoteReply& reply) {
@@ -305,16 +305,15 @@ void RaftReplica::send_append(ProcessId to) {
   for (std::int64_t i = next; i <= last_log_index(); ++i) {
     append.entries.push_back(log_.at(static_cast<std::size_t>(i - 1)));
   }
-  send(to, msg::kAppendEntries, append);
+  send(to, append);
 }
 
 void RaftReplica::on_append_entries(ProcessId from,
                                     const msg::AppendEntries& append) {
   if (append.term > term_) become_follower(append.term);
   if (append.term < term_) {
-    send(from, msg::kAppendReply,
-         msg::AppendReply{term_, false, last_log_index(), append.probe_seq,
-                          append.lease_stamp});
+    send(from, msg::AppendReply{term_, false, last_log_index(),
+                                append.probe_seq, append.lease_stamp});
     return;
   }
   // append.term == term_: `from` is the legitimate leader of this term.
@@ -330,9 +329,8 @@ void RaftReplica::on_append_entries(ProcessId from,
 
   if (append.prev_index > last_log_index() ||
       term_at(append.prev_index) != append.prev_term) {
-    send(from, msg::kAppendReply,
-         msg::AppendReply{term_, false, last_log_index(), append.probe_seq,
-                          append.lease_stamp});
+    send(from, msg::AppendReply{term_, false, last_log_index(),
+                                append.probe_seq, append.lease_stamp});
     return;
   }
   // Append, truncating conflicting suffixes.
@@ -364,7 +362,7 @@ void RaftReplica::on_append_entries(ProcessId from,
       commit_index_ = std::min(leader_commit, last_log_index());
       apply_committed();
     }
-    send(from, msg::kAppendReply, reply);
+    send(from, reply);
   };
   if (log_changed) {
     request_sync([this, appended_upto, complete] {
@@ -478,7 +476,7 @@ void RaftReplica::client_send(const OperationId& id) {
       it = pending_ops_.find(id);
       if (it == pending_ops_.end()) return;
     } else {
-      send(target, msg::kClientRead, request);
+      send(target, request);
     }
   } else {
     const msg::ClientRmw request{id, it->second.op};
@@ -487,7 +485,7 @@ void RaftReplica::client_send(const OperationId& id) {
       it = pending_ops_.find(id);
       if (it == pending_ops_.end()) return;
     } else {
-      send(target, msg::kClientRmw, request);
+      send(target, request);
     }
   }
   it->second.retry_timer =
@@ -526,7 +524,7 @@ void RaftReplica::on_client_read(ProcessId from, const msg::ClientRead& read) {
     if (from == id()) {
       on_message_read_reply(reply);
     } else {
-      send(from, msg::kReadReply, reply);
+      send(from, reply);
     }
     return;
   }
@@ -591,7 +589,7 @@ void RaftReplica::answer_read(const PendingLeaderRead& read) {
   if (read.from == id()) {
     on_message_read_reply(reply);
   } else {
-    send(read.from, msg::kReadReply, reply);
+    send(read.from, reply);
   }
 }
 
@@ -608,20 +606,20 @@ void RaftReplica::on_message(const sim::Message& message) {
     }
   }
   if (gateway_.handle(message)) return;
-  if (message.is(msg::kRequestVote)) {
-    on_request_vote(message.from, message.as<msg::RequestVote>());
-  } else if (message.is(msg::kVoteReply)) {
-    on_vote_reply(message.from, message.as<msg::VoteReply>());
-  } else if (message.is(msg::kAppendEntries)) {
-    on_append_entries(message.from, message.as<msg::AppendEntries>());
-  } else if (message.is(msg::kAppendReply)) {
-    on_append_reply(message.from, message.as<msg::AppendReply>());
-  } else if (message.is(msg::kClientRmw)) {
-    on_client_rmw(message.from, message.as<msg::ClientRmw>());
-  } else if (message.is(msg::kClientRead)) {
-    on_client_read(message.from, message.as<msg::ClientRead>());
-  } else if (message.is(msg::kReadReply)) {
-    on_message_read_reply(message.as<msg::ReadReply>());
+  if (const auto* vote_req = message.get<msg::RequestVote>()) {
+    on_request_vote(message.from, *vote_req);
+  } else if (const auto* vote = message.get<msg::VoteReply>()) {
+    on_vote_reply(message.from, *vote);
+  } else if (const auto* append = message.get<msg::AppendEntries>()) {
+    on_append_entries(message.from, *append);
+  } else if (const auto* append_reply = message.get<msg::AppendReply>()) {
+    on_append_reply(message.from, *append_reply);
+  } else if (const auto* rmw = message.get<msg::ClientRmw>()) {
+    on_client_rmw(message.from, *rmw);
+  } else if (const auto* read = message.get<msg::ClientRead>()) {
+    on_client_read(message.from, *read);
+  } else if (const auto* reply = message.get<msg::ReadReply>()) {
+    on_message_read_reply(*reply);
   } else {
     CHT_UNREACHABLE("unknown message type for raft replica");
   }

@@ -79,26 +79,21 @@ struct LogEntry {
 
 namespace msg {
 
-inline constexpr const char* kRequestVote = "raft.requestvote";
-inline constexpr const char* kVoteReply = "raft.votereply";
-inline constexpr const char* kAppendEntries = "raft.appendentries";
-inline constexpr const char* kAppendReply = "raft.appendreply";
-inline constexpr const char* kClientRmw = "raft.clientrmw";
-inline constexpr const char* kClientRead = "raft.clientread";
-inline constexpr const char* kReadReply = "raft.readreply";
-
 struct RequestVote {
+  static constexpr const char* kType = "raft.requestvote";
   std::int64_t term = 0;
   std::int64_t last_log_index = 0;
   std::int64_t last_log_term = 0;
 };
 
 struct VoteReply {
+  static constexpr const char* kType = "raft.votereply";
   std::int64_t term = 0;
   bool granted = false;
 };
 
 struct AppendEntries {
+  static constexpr const char* kType = "raft.appendentries";
   std::int64_t term = 0;
   std::int64_t prev_index = 0;
   std::int64_t prev_term = 0;
@@ -113,6 +108,7 @@ struct AppendEntries {
 };
 
 struct AppendReply {
+  static constexpr const char* kType = "raft.appendreply";
   std::int64_t term = 0;
   bool success = false;
   std::int64_t match_index = 0;  // on success; on failure, follower's log length
@@ -121,16 +117,19 @@ struct AppendReply {
 };
 
 struct ClientRmw {
+  static constexpr const char* kType = "raft.clientrmw";
   OperationId id;
   object::Operation op;
 };
 
 struct ClientRead {
+  static constexpr const char* kType = "raft.clientread";
   OperationId id;
   object::Operation op;
 };
 
 struct ReadReply {
+  static constexpr const char* kType = "raft.readreply";
   OperationId id;
   object::Response response;
 };

@@ -22,12 +22,12 @@ Duration Network::sample_delay(RealTime now, bool& lose, bool& duplicate) {
 
 void Network::send(Message message) {
   const RealTime now = queue_.now();
-  message.sent_at = now;
   ++stats_.sent;
   ++stats_.sent_by_type[message.type];
   if (trace_ != nullptr && trace_->network_enabled()) {
     trace_->record(now, message.from, "net.send",
-                   message.type + " -> p" + std::to_string(message.to.index()));
+                   std::string(message.type) + " -> p" +
+                       std::to_string(message.to.index()));
   }
 
   if (down_links_.contains({message.from.index(), message.to.index()})) {
@@ -50,7 +50,8 @@ void Network::send(Message message) {
 
   RealTime arrival = now + delay;
   // In-flight messages obey the delta bound once the system stabilizes.
-  if (now < config_.gst && arrival > config_.gst + config_.delta) {
+  // (Compared as arrival - delta so gst == RealTime::max() cannot overflow.)
+  if (now < config_.gst && arrival - config_.delta > config_.gst) {
     arrival = config_.gst + Duration::micros(rng_.next_in(
                                 config_.delta_min.to_micros(),
                                 config_.delta.to_micros()));

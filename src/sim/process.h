@@ -14,6 +14,7 @@
 #include <any>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -50,9 +51,19 @@ class Process {
   RealTime now_real() const;
   LocalTime now_local() const;  // this process's clock reading
 
-  void send(ProcessId to, std::string type, std::any payload);
+  // Sends `payload` to `to`, stamping the envelope with T::kType.
+  template <class T>
+  void send(ProcessId to, T payload) {
+    static_assert(wire_value_v<T>, "wire payloads must be copyable values");
+    send_message(to, T::kType, std::move(payload));
+  }
   // Sends to every process except this one.
-  void broadcast(const std::string& type, const std::any& payload);
+  template <class T>
+  void broadcast(const T& payload) {
+    for (int i = 0; i < n_; ++i) {
+      if (i != id_.index()) send(ProcessId(i), payload);
+    }
+  }
 
   // Schedules `fn` at real time now + delay (models step timing / periodic
   // work). The handle can cancel the timer. No-op after crash.
@@ -110,6 +121,7 @@ class Process {
   }
   void mark_crashed() { crashed_ = true; }
 
+  void send_message(ProcessId to, const char* type, std::any payload);
   void start_group_sync();
 
   Simulation* sim_ = nullptr;

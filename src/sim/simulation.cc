@@ -129,21 +129,14 @@ LocalTime Process::now_local() const {
   return sim_->clock(id_).local_time(sim_->now());
 }
 
-void Process::send(ProcessId to, std::string type, std::any payload) {
+void Process::send_message(ProcessId to, const char* type, std::any payload) {
   CHT_ASSERT(sim_ != nullptr, "process not attached");
   if (crashed_) return;
   // Self-sends also go through the network (uniform accounting, no handler
   // reentrancy).
-  Message m{id_, to, std::move(type), std::move(payload), sim_->now(),
+  Message m{id_, to, type, std::move(payload),
             sim_->clock(id_).local_time(sim_->now())};
   sim_->network().send(std::move(m));
-}
-
-void Process::broadcast(const std::string& type, const std::any& payload) {
-  for (int i = 0; i < n_; ++i) {
-    if (i == id_.index()) continue;
-    send(ProcessId(i), type, payload);
-  }
 }
 
 Rng& Process::rng() const {

@@ -79,7 +79,7 @@ void VrReplica::seed_op_sequence() {
 
 void VrReplica::recovery_tick() {
   if (status_ != Status::kRecovering) return;
-  broadcast(msg::kRecovery, msg::Recovery{recovery_nonce_});
+  broadcast(msg::Recovery{recovery_nonce_});
   recovery_timer_ =
       schedule_after(config_.view_change_timeout, [this] { recovery_tick(); });
 }
@@ -95,7 +95,7 @@ void VrReplica::on_recovery(ProcessId from, const msg::Recovery& m) {
     response.op_number = op_number();
     response.commit_number = commit_number_;
   }
-  send(from, msg::kRecoveryResponse, response);
+  send(from, response);
 }
 
 void VrReplica::on_recovery_response(ProcessId from,
@@ -143,7 +143,7 @@ void VrReplica::maybe_finish_recovery() {
   // Ack our adopted prefix to the primary and fall back into the follower
   // rhythm (the recovered replica is never the primary of max_view: a view
   // whose primary crashed moves on before its primary can be told about it).
-  send(primary, msg::kPrepareOk, msg::PrepareOk{view_, op_number()});
+  send(primary, msg::PrepareOk{view_, op_number()});
   reset_view_timer();
 }
 
@@ -168,7 +168,7 @@ void VrReplica::send_prepare_to(ProcessId to) {
   for (std::int64_t i = from_index + 1; i <= op_number(); ++i) {
     prepare.entries.push_back(log_.at(static_cast<std::size_t>(i - 1)));
   }
-  send(to, msg::kPrepare, prepare);
+  send(to, prepare);
 }
 
 void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
@@ -179,7 +179,7 @@ void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
     // (e.g. we were an isolated primary still appending); drop them before
     // asking for the suffix (VR Revisited sec. 5.2).
     truncate_uncommitted_tail();
-    send(from, msg::kGetState, msg::GetState{prepare.view, op_number()});
+    send(from, msg::GetState{prepare.view, op_number()});
     return;
   }
   reset_view_timer();
@@ -188,7 +188,7 @@ void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
   const std::int64_t first =
       prepare.op_number - static_cast<std::int64_t>(prepare.entries.size()) + 1;
   if (first > op_number() + 1) {
-    send(from, msg::kGetState, msg::GetState{view_, op_number()});
+    send(from, msg::GetState{view_, op_number()});
     return;
   }
   for (std::int64_t i = first; i <= prepare.op_number; ++i) {
@@ -198,7 +198,7 @@ void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
     log_.push_back(entry);
     ids_in_log_.insert(entry.id);
   }
-  send(from, msg::kPrepareOk, msg::PrepareOk{view_, op_number()});
+  send(from, msg::PrepareOk{view_, op_number()});
   advance_commit(std::min(prepare.commit_number, op_number()));
 }
 
@@ -212,7 +212,7 @@ void VrReplica::on_prepare_ok(ProcessId from, const msg::PrepareOk& ok) {
     }
     if (replicas >= majority()) {
       advance_commit(n);
-      broadcast(msg::kCommit, msg::Commit{view_, commit_number_});
+      broadcast(msg::Commit{view_, commit_number_});
       break;
     }
   }
@@ -222,7 +222,7 @@ void VrReplica::on_commit(ProcessId from, const msg::Commit& commit) {
   if (commit.view < view_) return;
   if (commit.view > view_ || status_ != Status::kNormal) {
     truncate_uncommitted_tail();
-    send(from, msg::kGetState, msg::GetState{commit.view, op_number()});
+    send(from, msg::GetState{commit.view, op_number()});
     return;
   }
   reset_view_timer();
@@ -256,7 +256,7 @@ void VrReplica::apply_committed() {
 
 void VrReplica::heartbeat_tick() {
   if (!is_primary()) return;
-  broadcast(msg::kCommit, msg::Commit{view_, commit_number_});
+  broadcast(msg::Commit{view_, commit_number_});
   // Nudge lagging replicas with their missing suffix.
   for (int i = 0; i < cluster_size(); ++i) {
     if (i != id().index() && acked_op_[i] < op_number()) {
@@ -303,7 +303,7 @@ void VrReplica::begin_view_change(std::int64_t new_view) {
   status_ = Status::kViewChange;
   heartbeat_timer_.cancel();
   svc_votes_.insert(id().index());
-  broadcast(msg::kStartViewChange, msg::StartViewChange{view_});
+  broadcast(msg::StartViewChange{view_});
   // If this view also stalls (e.g. its static next-in-line primary is
   // partitioned away), move on to the next one -- the "succession of
   // ineffective views" the paper points out.
@@ -341,7 +341,7 @@ void VrReplica::maybe_send_do_view_change() {
   if (primary == id()) {
     on_do_view_change(id(), dvc);
   } else {
-    send(primary, msg::kDoViewChange, dvc);
+    send(primary, dvc);
   }
 }
 
@@ -376,8 +376,7 @@ void VrReplica::maybe_become_primary() {
   acked_op_.assign(cluster_size(), 0);
   view_timer_.cancel();
   c_became_leader_->inc();
-  broadcast(msg::kStartView,
-            msg::StartView{view_, log_, op_number(), max_commit});
+  broadcast(msg::StartView{view_, log_, op_number(), max_commit});
   advance_commit(std::max(commit_number_, max_commit));
   dvc_received_.clear();
   dvc_sent_ = false;
@@ -401,7 +400,7 @@ void VrReplica::on_start_view(ProcessId from, const msg::StartView& m) {
   // apply committed entries.
   CHT_ASSERT(static_cast<std::int64_t>(log_.size()) >= applied_,
              "StartView log shorter than applied prefix");
-  send(from, msg::kPrepareOk, msg::PrepareOk{view_, op_number()});
+  send(from, msg::PrepareOk{view_, op_number()});
   advance_commit(std::min(m.commit_number, op_number()));
   reset_view_timer();
 }
@@ -416,7 +415,7 @@ void VrReplica::on_get_state(ProcessId from, const msg::GetState& m) {
   for (std::int64_t i = m.op_number + 1; i <= op_number(); ++i) {
     reply.suffix.push_back(log_.at(static_cast<std::size_t>(i - 1)));
   }
-  send(from, msg::kNewState, reply);
+  send(from, reply);
 }
 
 void VrReplica::on_new_state(const msg::NewState& m) {
@@ -473,7 +472,7 @@ void VrReplica::client_send(const OperationId& id) {
     it = pending_ops_.find(id);
     if (it == pending_ops_.end()) return;  // n == 1 completes synchronously
   } else {
-    send(primary, msg::kRequest, request);
+    send(primary, request);
   }
   it->second.retry_timer =
       schedule_after(config_.client_retry(), [this, id] { client_send(id); });
@@ -484,12 +483,12 @@ void VrReplica::client_send(const OperationId& id) {
 // ===========================================================================
 
 void VrReplica::on_message(const sim::Message& message) {
-  if (message.is(msg::kRecovery)) {
-    on_recovery(message.from, message.as<msg::Recovery>());
+  if (const auto* recovery = message.get<msg::Recovery>()) {
+    on_recovery(message.from, *recovery);
     return;
   }
-  if (message.is(msg::kRecoveryResponse)) {
-    on_recovery_response(message.from, message.as<msg::RecoveryResponse>());
+  if (const auto* response = message.get<msg::RecoveryResponse>()) {
+    on_recovery_response(message.from, *response);
     return;
   }
   // A recovering replica takes no other protocol steps (sec. 4.3): its state
@@ -497,24 +496,24 @@ void VrReplica::on_message(const sim::Message& message) {
   // traffic is likewise ignored until then (the client retries elsewhere).
   if (status_ == Status::kRecovering) return;
   if (gateway_.handle(message)) return;
-  if (message.is(msg::kRequest)) {
-    on_request(message.from, message.as<msg::Request>());
-  } else if (message.is(msg::kPrepare)) {
-    on_prepare(message.from, message.as<msg::Prepare>());
-  } else if (message.is(msg::kPrepareOk)) {
-    on_prepare_ok(message.from, message.as<msg::PrepareOk>());
-  } else if (message.is(msg::kCommit)) {
-    on_commit(message.from, message.as<msg::Commit>());
-  } else if (message.is(msg::kStartViewChange)) {
-    on_start_view_change(message.from, message.as<msg::StartViewChange>());
-  } else if (message.is(msg::kDoViewChange)) {
-    on_do_view_change(message.from, message.as<msg::DoViewChange>());
-  } else if (message.is(msg::kStartView)) {
-    on_start_view(message.from, message.as<msg::StartView>());
-  } else if (message.is(msg::kGetState)) {
-    on_get_state(message.from, message.as<msg::GetState>());
-  } else if (message.is(msg::kNewState)) {
-    on_new_state(message.as<msg::NewState>());
+  if (const auto* request = message.get<msg::Request>()) {
+    on_request(message.from, *request);
+  } else if (const auto* prepare = message.get<msg::Prepare>()) {
+    on_prepare(message.from, *prepare);
+  } else if (const auto* ok = message.get<msg::PrepareOk>()) {
+    on_prepare_ok(message.from, *ok);
+  } else if (const auto* commit = message.get<msg::Commit>()) {
+    on_commit(message.from, *commit);
+  } else if (const auto* svc = message.get<msg::StartViewChange>()) {
+    on_start_view_change(message.from, *svc);
+  } else if (const auto* dvc = message.get<msg::DoViewChange>()) {
+    on_do_view_change(message.from, *dvc);
+  } else if (const auto* sv = message.get<msg::StartView>()) {
+    on_start_view(message.from, *sv);
+  } else if (const auto* get_state = message.get<msg::GetState>()) {
+    on_get_state(message.from, *get_state);
+  } else if (const auto* state = message.get<msg::NewState>()) {
+    on_new_state(*state);
   } else {
     CHT_UNREACHABLE("unknown message type for vr replica");
   }

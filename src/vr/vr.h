@@ -58,24 +58,14 @@ struct VrLogEntry {
 
 namespace msg {
 
-inline constexpr const char* kRequest = "vr.request";
-inline constexpr const char* kPrepare = "vr.prepare";
-inline constexpr const char* kPrepareOk = "vr.prepareok";
-inline constexpr const char* kCommit = "vr.commit";
-inline constexpr const char* kStartViewChange = "vr.startviewchange";
-inline constexpr const char* kDoViewChange = "vr.doviewchange";
-inline constexpr const char* kStartView = "vr.startview";
-inline constexpr const char* kGetState = "vr.getstate";
-inline constexpr const char* kNewState = "vr.newstate";
-inline constexpr const char* kRecovery = "vr.recovery";
-inline constexpr const char* kRecoveryResponse = "vr.recoveryresponse";
-
 struct Request {
+  static constexpr const char* kType = "vr.request";
   OperationId id;
   object::Operation op;
 };
 
 struct Prepare {
+  static constexpr const char* kType = "vr.prepare";
   std::int64_t view = 0;
   std::int64_t op_number = 0;        // number of the LAST entry in `entries`
   std::vector<VrLogEntry> entries;  // suffix starting after follower's ack
@@ -83,20 +73,24 @@ struct Prepare {
 };
 
 struct PrepareOk {
+  static constexpr const char* kType = "vr.prepareok";
   std::int64_t view = 0;
   std::int64_t op_number = 0;
 };
 
 struct Commit {
+  static constexpr const char* kType = "vr.commit";
   std::int64_t view = 0;
   std::int64_t commit_number = 0;
 };
 
 struct StartViewChange {
+  static constexpr const char* kType = "vr.startviewchange";
   std::int64_t view = 0;
 };
 
 struct DoViewChange {
+  static constexpr const char* kType = "vr.doviewchange";
   std::int64_t view = 0;
   std::vector<VrLogEntry> log;
   std::int64_t last_normal_view = 0;
@@ -105,6 +99,7 @@ struct DoViewChange {
 };
 
 struct StartView {
+  static constexpr const char* kType = "vr.startview";
   std::int64_t view = 0;
   std::vector<VrLogEntry> log;
   std::int64_t op_number = 0;
@@ -112,11 +107,13 @@ struct StartView {
 };
 
 struct GetState {
+  static constexpr const char* kType = "vr.getstate";
   std::int64_t view = 0;
   std::int64_t op_number = 0;  // requester's last op
 };
 
 struct NewState {
+  static constexpr const char* kType = "vr.newstate";
   std::int64_t view = 0;
   std::vector<VrLogEntry> suffix;  // entries after the requested op_number
   std::int64_t op_number = 0;
@@ -128,10 +125,12 @@ struct NewState {
 // tying responses to this particular recovery attempt (a response to an
 // earlier, pre-crash attempt must not be mistaken for a current one).
 struct Recovery {
+  static constexpr const char* kType = "vr.recovery";
   std::uint64_t nonce = 0;
 };
 
 struct RecoveryResponse {
+  static constexpr const char* kType = "vr.recoveryresponse";
   std::uint64_t nonce = 0;
   std::int64_t view = 0;
   // Only the primary of `view` ships its log (and the fields below are only

@@ -223,7 +223,7 @@ class ElsRecoveryHost : public sim::Process {
 class GrantSink : public sim::Process {
  public:
   void on_message(const sim::Message& message) override {
-    grants.push_back(message.as<leader::SupportGrant>());
+    grants.push_back(*message.get<leader::SupportGrant>());
   }
   std::vector<leader::SupportGrant> grants;
 };

@@ -7,8 +7,8 @@
 // show up here as a diff between the two runs.
 //
 // Compile-time half of the audit: including core/wire_audit.h applies the
-// static_assert battery over every wire-format struct (trivially copyable
-// fixed-size payloads, value-semantics variable-size payloads).
+// static_assert battery over the fixed-size wire structs (trivially
+// copyable); Process::send<T> asserts value semantics for every payload.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -73,7 +73,7 @@ class ElsUnitTest : public ::testing::Test {
 
   void support(int from, std::int64_t counter, std::int64_t start_us,
                std::int64_t end_us) {
-    sink(from).send(ProcessId(0), EnhancedLeaderService::kSupportType,
+    sink(from).send(ProcessId(0),
                     SupportGrant{counter, lt(start_us), lt(end_us)});
   }
 
@@ -146,18 +146,18 @@ TEST_F(ElsUnitTest, GrantsToDifferentLeadersAreDisjoint) {
   run(Duration::millis(25));  // grants to p2
   LocalTime p1_max_end = LocalTime::min();
   for (const auto& m : sink(1).received) {
-    const auto& g = m.as<SupportGrant>();
+    const auto& g = *m.get<SupportGrant>();
     p1_max_end = std::max(p1_max_end, g.end);
   }
   ASSERT_FALSE(sink(2).received.empty());
   for (const auto& m : sink(2).received) {
-    const auto& g = m.as<SupportGrant>();
+    const auto& g = *m.get<SupportGrant>();
     EXPECT_GT(g.start, p1_max_end)
         << "grant to the new leader overlaps one given to the old leader";
   }
   // And the counter was bumped.
-  EXPECT_GT(sink(2).received.front().as<SupportGrant>().counter,
-            sink(1).received.front().as<SupportGrant>().counter);
+  EXPECT_GT(sink(2).received.front().get<SupportGrant>()->counter,
+            sink(1).received.front().get<SupportGrant>()->counter);
 }
 
 TEST_F(ElsUnitTest, SupportsExpireFromHistoryHorizon) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,7 +22,7 @@ struct Fixture {
   }
 };
 
-Message make_msg(int from, int to, const std::string& type = "t") {
+Message make_msg(int from, int to, const char* type = "t") {
   Message m;
   m.from = ProcessId(from);
   m.to = ProcessId(to);
@@ -65,6 +66,28 @@ TEST(NetworkTest, PreGstMessagesCanBeLost) {
   EXPECT_GT(delivered, 300);
   EXPECT_LT(delivered, 700);
   EXPECT_EQ(network.stats().dropped, 1000 - delivered);
+}
+
+TEST(NetworkTest, NeverStabilizingRunKeepsPreGstDelays) {
+  // gst == RealTime::max() must not overflow the in-flight cap: every delay
+  // stays a pre-GST draw spread over [pre_gst_delay_min, pre_gst_delay_max].
+  Fixture f;
+  f.config.gst = RealTime::max();
+  f.config.pre_gst_loss_probability = 0.0;
+  Network network = f.make();
+  const RealTime start = f.queue.now();
+  std::vector<Duration> delays;
+  network.set_deliver_fn(
+      [&](const Message&) { delays.push_back(f.queue.now() - start); });
+  for (int i = 0; i < 500; ++i) network.send(make_msg(0, 1));
+  while (f.queue.step()) {
+  }
+  ASSERT_EQ(delays.size(), 500u);
+  const auto [lo, hi] = std::minmax_element(delays.begin(), delays.end());
+  EXPECT_GE(*lo, NetworkConfig::pre_gst_delay_min);
+  EXPECT_LE(*hi, f.config.pre_gst_delay_max);
+  EXPECT_LT(*lo, f.config.pre_gst_delay_max / 10);
+  EXPECT_GT(*hi, f.config.pre_gst_delay_max * 9 / 10);
 }
 
 TEST(NetworkTest, InFlightMessagesRespectDeltaAfterGst) {

@@ -29,16 +29,18 @@ class Puppet : public sim::Process {
   }
   std::vector<sim::Message> received;
 
-  int count(std::string_view type) const {
+  template <class T>
+  int count() const {
     int n = 0;
     for (const auto& m : received) {
-      if (m.is(type)) ++n;
+      if (m.get<T>() != nullptr) ++n;
     }
     return n;
   }
-  const sim::Message* last(std::string_view type) const {
+  template <class T>
+  const T* last() const {
     for (auto it = received.rbegin(); it != received.rend(); ++it) {
-      if (it->is(type)) return &*it;
+      if (const T* payload = it->get<T>()) return payload;
     }
     return nullptr;
   }
@@ -70,8 +72,7 @@ class ProtocolTest : public ::testing::Test {
   }
 
   void heartbeat_tick() {
-    puppet(0).send(replica_id(), leader::OmegaDetector::kHeartbeatType,
-                   0);
+    puppet(0).send(replica_id(), leader::Heartbeat{});
     sim_.at(sim_.now() + Duration::millis(5), [this] { heartbeat_tick(); });
   }
 
@@ -96,12 +97,10 @@ class ProtocolTest : public ::testing::Test {
 
 TEST_F(ProtocolTest, PrepareIsAdoptedAndAcked) {
   const Batch ops = batch_of("a");
-  puppet(0).send(replica_id(), core::msg::kPrepare,
-                 core::msg::Prepare{ops, lt(1000), 1, {}});
+  puppet(0).send(replica_id(), core::msg::Prepare{ops, lt(1000), 1, {}});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(0).count(core::msg::kPrepareAck), 1);
-  const auto& ack = puppet(0).last(core::msg::kPrepareAck)
-                        ->as<core::msg::PrepareAck>();
+  ASSERT_EQ(puppet(0).count<core::msg::PrepareAck>(), 1);
+  const auto& ack = *puppet(0).last<core::msg::PrepareAck>();
   EXPECT_EQ(ack.leader_time, lt(1000));
   EXPECT_EQ(ack.number, 1);
   ASSERT_TRUE(replica().snapshot().estimate.has_value());
@@ -111,37 +110,37 @@ TEST_F(ProtocolTest, PrepareIsAdoptedAndAcked) {
 }
 
 TEST_F(ProtocolTest, StalePrepareIsIgnoredAfterFresherEstimate) {
-  puppet(0).send(replica_id(), core::msg::kPrepare,
+  puppet(0).send(replica_id(),
                  core::msg::Prepare{batch_of("new"), lt(2000), 1, {}});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(0).count(core::msg::kPrepareAck), 1);
+  ASSERT_EQ(puppet(0).count<core::msg::PrepareAck>(), 1);
   // An older leader's Prepare for the same slot must not be adopted.
-  puppet(1).send(replica_id(), core::msg::kPrepare,
+  puppet(1).send(replica_id(),
                  core::msg::Prepare{batch_of("old"), lt(500), 1, {}});
   run(Duration::millis(10));
-  EXPECT_EQ(puppet(1).count(core::msg::kPrepareAck), 0);
+  EXPECT_EQ(puppet(1).count<core::msg::PrepareAck>(), 0);
   EXPECT_EQ(replica().snapshot().estimate->ts, lt(2000));
 }
 
 TEST_F(ProtocolTest, EstReqPromiseBlocksOlderPrepares) {
   // Answering a newer leader's EstReq is a promise: Prepares from older
   // leader times must no longer be acknowledged.
-  puppet(1).send(replica_id(), core::msg::kEstReq, core::msg::EstReq{lt(5000)});
+  puppet(1).send(replica_id(), core::msg::EstReq{lt(5000)});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(1).count(core::msg::kEstReply), 1);
-  puppet(0).send(replica_id(), core::msg::kPrepare,
+  ASSERT_EQ(puppet(1).count<core::msg::EstReply>(), 1);
+  puppet(0).send(replica_id(),
                  core::msg::Prepare{batch_of("x"), lt(4000), 1, {}});
   run(Duration::millis(10));
-  EXPECT_EQ(puppet(0).count(core::msg::kPrepareAck), 0);
+  EXPECT_EQ(puppet(0).count<core::msg::PrepareAck>(), 0);
   EXPECT_FALSE(replica().snapshot().estimate.has_value());
 }
 
 TEST_F(ProtocolTest, StaleEstReqGetsNoReply) {
-  puppet(1).send(replica_id(), core::msg::kEstReq, core::msg::EstReq{lt(5000)});
+  puppet(1).send(replica_id(), core::msg::EstReq{lt(5000)});
   run(Duration::millis(10));
-  puppet(2).send(replica_id(), core::msg::kEstReq, core::msg::EstReq{lt(4000)});
+  puppet(2).send(replica_id(), core::msg::EstReq{lt(4000)});
   run(Duration::millis(10));
-  EXPECT_EQ(puppet(2).count(core::msg::kEstReply), 0);
+  EXPECT_EQ(puppet(2).count<core::msg::EstReply>(), 0);
 }
 
 TEST_F(ProtocolTest, EstReplyCarriesEstimateAndPreviousBatch) {
@@ -149,39 +148,35 @@ TEST_F(ProtocolTest, EstReplyCarriesEstimateAndPreviousBatch) {
   // (batch 2) together with committed batch 1 (invariant I2 in transit).
   const Batch b1 = batch_of("one", 0, 1);
   const Batch b2 = batch_of("two", 0, 2);
-  puppet(0).send(replica_id(), core::msg::kPrepare,
-                 core::msg::Prepare{b1, lt(1000), 1, {}});
+  puppet(0).send(replica_id(), core::msg::Prepare{b1, lt(1000), 1, {}});
   run(Duration::millis(5));
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b1, 1});
+  puppet(0).send(replica_id(), core::msg::Commit{b1, 1});
   run(Duration::millis(5));
-  puppet(0).send(replica_id(), core::msg::kPrepare,
-                 core::msg::Prepare{b2, lt(1000), 2, b1});
+  puppet(0).send(replica_id(), core::msg::Prepare{b2, lt(1000), 2, b1});
   run(Duration::millis(5));
-  puppet(1).send(replica_id(), core::msg::kEstReq, core::msg::EstReq{lt(9000)});
+  puppet(1).send(replica_id(), core::msg::EstReq{lt(9000)});
   run(Duration::millis(10));
-  const auto* reply_msg = puppet(1).last(core::msg::kEstReply);
-  ASSERT_NE(reply_msg, nullptr);
-  const auto& reply = reply_msg->as<core::msg::EstReply>();
-  ASSERT_TRUE(reply.estimate.has_value());
-  EXPECT_EQ(reply.estimate->k, 2);
-  EXPECT_EQ(reply.estimate->ops, b2);
-  ASSERT_TRUE(reply.prev_batch.has_value());
-  EXPECT_EQ(*reply.prev_batch, b1);
+  const auto* reply = puppet(1).last<core::msg::EstReply>();
+  ASSERT_NE(reply, nullptr);
+  ASSERT_TRUE(reply->estimate.has_value());
+  EXPECT_EQ(reply->estimate->k, 2);
+  EXPECT_EQ(reply->estimate->ops, b2);
+  ASSERT_TRUE(reply->prev_batch.has_value());
+  EXPECT_EQ(*reply->prev_batch, b1);
 }
 
 TEST_F(ProtocolTest, CommitAppliesInOrderAndFillsGaps) {
   const Batch b1 = batch_of("one", 0, 1);
   const Batch b2 = batch_of("two", 0, 2);
   // Deliver commit 2 first: the replica must fetch batch 1 before applying.
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b2, 2});
+  puppet(0).send(replica_id(), core::msg::Commit{b2, 2});
   run(Duration::millis(10));
   EXPECT_EQ(replica().snapshot().applied_upto, 0);
-  EXPECT_GT(puppet(0).count(core::msg::kBatchRequest) +
-                puppet(1).count(core::msg::kBatchRequest),
+  EXPECT_GT(puppet(0).count<core::msg::BatchRequest>() +
+                puppet(1).count<core::msg::BatchRequest>(),
             0)
       << "replica should be requesting the missing batch 1";
-  puppet(1).send(replica_id(), core::msg::kBatchReply,
-                 core::msg::BatchReply{1, b1});
+  puppet(1).send(replica_id(), core::msg::BatchReply{1, b1});
   run(Duration::millis(10));
   EXPECT_EQ(replica().snapshot().applied_upto, 2);
   EXPECT_EQ(replica().applied_state().fingerprint(), "two");
@@ -192,24 +187,23 @@ TEST_F(ProtocolTest, PrepareStoresPreviousBatch) {
   const Batch b2 = batch_of("two", 0, 2);
   // A Prepare for batch 2 carries committed batch 1; the replica must store
   // and apply it even though it never saw Prepare/Commit for 1.
-  puppet(0).send(replica_id(), core::msg::kPrepare,
-                 core::msg::Prepare{b2, lt(1000), 2, b1});
+  puppet(0).send(replica_id(), core::msg::Prepare{b2, lt(1000), 2, b1});
   run(Duration::millis(10));
   EXPECT_TRUE(replica().snapshot().batches.contains(1));
   EXPECT_EQ(replica().snapshot().applied_upto, 1);
-  EXPECT_EQ(puppet(0).count(core::msg::kPrepareAck), 1);
+  EXPECT_EQ(puppet(0).count<core::msg::PrepareAck>(), 1);
 }
 
 TEST_F(ProtocolTest, LeaseGrantOnlyAcceptedWhenMember) {
   // Not in the leaseholder set: replica must ask for reintegration and must
   // not serve reads off this grant.
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
+  puppet(0).send(replica_id(),
                  core::msg::LeaseGrant{0, lt(1000), {0, 1, 2, 3}});
   run(Duration::millis(10));
-  EXPECT_EQ(puppet(0).count(core::msg::kLeaseRequest), 1);
+  EXPECT_EQ(puppet(0).count<core::msg::LeaseRequest>(), 1);
   EXPECT_FALSE(replica().snapshot().lease.has_value());
   // Included now: lease accepted.
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
+  puppet(0).send(replica_id(),
                  core::msg::LeaseGrant{0, lt(2000), {0, 1, 2, 3, 4}});
   run(Duration::millis(10));
   ASSERT_TRUE(replica().snapshot().lease.has_value());
@@ -217,11 +211,9 @@ TEST_F(ProtocolTest, LeaseGrantOnlyAcceptedWhenMember) {
 }
 
 TEST_F(ProtocolTest, OlderLeaseGrantDoesNotRegress) {
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
-                 core::msg::LeaseGrant{3, lt(5000), {4}});
+  puppet(0).send(replica_id(), core::msg::LeaseGrant{3, lt(5000), {4}});
   run(Duration::millis(5));
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
-                 core::msg::LeaseGrant{2, lt(4000), {4}});
+  puppet(0).send(replica_id(), core::msg::LeaseGrant{2, lt(4000), {4}});
   run(Duration::millis(5));
   ASSERT_TRUE(replica().snapshot().lease.has_value());
   EXPECT_EQ(replica().snapshot().lease->issued, lt(5000));
@@ -230,17 +222,15 @@ TEST_F(ProtocolTest, OlderLeaseGrantDoesNotRegress) {
 
 TEST_F(ProtocolTest, BatchRequestServedOnlyWhenKnown) {
   const Batch b1 = batch_of("one", 0, 1);
-  puppet(2).send(replica_id(), core::msg::kBatchRequest,
-                 core::msg::BatchRequest{1});
+  puppet(2).send(replica_id(), core::msg::BatchRequest{1});
   run(Duration::millis(10));
-  EXPECT_EQ(puppet(2).count(core::msg::kBatchReply), 0);
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b1, 1});
+  EXPECT_EQ(puppet(2).count<core::msg::BatchReply>(), 0);
+  puppet(0).send(replica_id(), core::msg::Commit{b1, 1});
   run(Duration::millis(5));
-  puppet(2).send(replica_id(), core::msg::kBatchRequest,
-                 core::msg::BatchRequest{1});
+  puppet(2).send(replica_id(), core::msg::BatchRequest{1});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(2).count(core::msg::kBatchReply), 1);
-  EXPECT_EQ(puppet(2).last(core::msg::kBatchReply)->as<core::msg::BatchReply>().ops,
+  ASSERT_EQ(puppet(2).count<core::msg::BatchReply>(), 1);
+  EXPECT_EQ(puppet(2).last<core::msg::BatchReply>()->ops,
             b1);
 }
 
@@ -249,32 +239,29 @@ TEST_F(ProtocolTest, RmwRequestForwardedToBelievedLeader) {
   // submit_rmw must be sent there, with periodic retries.
   replica().submit_rmw(RegisterObject::write("w"), core::Replica::Callback());
   run(Duration::millis(10));
-  EXPECT_GE(puppet(0).count(core::msg::kRmwRequest), 1);
+  EXPECT_GE(puppet(0).count<core::msg::RmwRequest>(), 1);
   run(Duration::millis(30));
-  EXPECT_GE(puppet(0).count(core::msg::kRmwRequest), 2) << "no retry observed";
+  EXPECT_GE(puppet(0).count<core::msg::RmwRequest>(), 2) << "no retry observed";
 }
 
 TEST_F(ProtocolTest, ReadBlocksOnPendingConflictUntilCommit) {
   const Batch b1 = batch_of("one", 0, 1);
   const Batch b2 = batch_of("two", 0, 2);
-  puppet(0).send(replica_id(), core::msg::kPrepare,
-                 core::msg::Prepare{b1, lt(1000), 1, {}});
+  puppet(0).send(replica_id(), core::msg::Prepare{b1, lt(1000), 1, {}});
   run(Duration::millis(5));
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b1, 1});
+  puppet(0).send(replica_id(), core::msg::Commit{b1, 1});
   run(Duration::millis(5));
   // Valid lease for batch 1, then a *pending* conflicting batch 2.
   const LocalTime now = replica().now_local();
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
-                 core::msg::LeaseGrant{1, now, {0, 1, 2, 3, 4}});
+  puppet(0).send(replica_id(), core::msg::LeaseGrant{1, now, {0, 1, 2, 3, 4}});
   run(Duration::millis(5));
-  puppet(0).send(replica_id(), core::msg::kPrepare,
-                 core::msg::Prepare{b2, lt(1000), 2, b1});
+  puppet(0).send(replica_id(), core::msg::Prepare{b2, lt(1000), 2, b1});
   run(Duration::millis(5));
   std::optional<std::string> result;
   replica().submit_read(RegisterObject::read(),
                         [&](const object::Response& r) { result = r; });
   EXPECT_FALSE(result.has_value()) << "read must block on pending batch 2";
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b2, 2});
+  puppet(0).send(replica_id(), core::msg::Commit{b2, 2});
   run(Duration::millis(5));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, "two");
@@ -282,11 +269,10 @@ TEST_F(ProtocolTest, ReadBlocksOnPendingConflictUntilCommit) {
 
 TEST_F(ProtocolTest, ReadWithValidLeaseAndNoConflictIsImmediate) {
   const Batch b1 = batch_of("one", 0, 1);
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b1, 1});
+  puppet(0).send(replica_id(), core::msg::Commit{b1, 1});
   run(Duration::millis(5));
   const LocalTime now = replica().now_local();
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
-                 core::msg::LeaseGrant{1, now, {0, 1, 2, 3, 4}});
+  puppet(0).send(replica_id(), core::msg::LeaseGrant{1, now, {0, 1, 2, 3, 4}});
   run(Duration::millis(5));
   std::optional<std::string> result;
   replica().submit_read(RegisterObject::read(),
@@ -298,10 +284,10 @@ TEST_F(ProtocolTest, ReadWithValidLeaseAndNoConflictIsImmediate) {
 
 TEST_F(ProtocolTest, ReadWithExpiredLeaseWaits) {
   const Batch b1 = batch_of("one", 0, 1);
-  puppet(0).send(replica_id(), core::msg::kCommit, core::msg::Commit{b1, 1});
+  puppet(0).send(replica_id(), core::msg::Commit{b1, 1});
   run(Duration::millis(5));
   // Grant issued far in the past: already expired.
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
+  puppet(0).send(replica_id(),
                  core::msg::LeaseGrant{1, lt(1), {0, 1, 2, 3, 4}});
   run(replica().config().lease_period + Duration::millis(5));
   std::optional<std::string> result;
@@ -309,7 +295,7 @@ TEST_F(ProtocolTest, ReadWithExpiredLeaseWaits) {
                         [&](const object::Response& r) { result = r; });
   EXPECT_FALSE(result.has_value());
   // Fresh grant unblocks it.
-  puppet(0).send(replica_id(), core::msg::kLeaseGrant,
+  puppet(0).send(replica_id(),
                  core::msg::LeaseGrant{1, replica().now_local(),
                                        {0, 1, 2, 3, 4}});
   run(Duration::millis(5));

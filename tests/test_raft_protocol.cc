@@ -24,16 +24,18 @@ class RaftPuppet : public sim::Process {
   }
   std::vector<sim::Message> received;
 
-  int count(std::string_view type) const {
+  template <class T>
+  int count() const {
     int n = 0;
     for (const auto& m : received) {
-      if (m.is(type)) ++n;
+      if (m.get<T>() != nullptr) ++n;
     }
     return n;
   }
-  const sim::Message* last(std::string_view type) const {
+  template <class T>
+  const T* last() const {
     for (auto it = received.rbegin(); it != received.rend(); ++it) {
-      if (it->is(type)) return &*it;
+      if (const T* payload = it->get<T>()) return payload;
     }
     return nullptr;
   }
@@ -88,32 +90,27 @@ class RaftProtocolTest : public ::testing::Test {
 };
 
 TEST_F(RaftProtocolTest, GrantsVoteToUpToDateCandidate) {
-  puppet(0).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{1, 0, 0});
+  puppet(0).send(replica_id(), raft::msg::RequestVote{1, 0, 0});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(0).count(raft::msg::kVoteReply), 1);
-  const auto& reply =
-      puppet(0).last(raft::msg::kVoteReply)->as<raft::msg::VoteReply>();
+  ASSERT_EQ(puppet(0).count<raft::msg::VoteReply>(), 1);
+  const auto& reply = *puppet(0).last<raft::msg::VoteReply>();
   EXPECT_TRUE(reply.granted);
   EXPECT_EQ(reply.term, 1);
   EXPECT_EQ(replica().term(), 1);
 }
 
 TEST_F(RaftProtocolTest, DoesNotVoteTwiceInSameTerm) {
-  puppet(0).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{1, 0, 0});
+  puppet(0).send(replica_id(), raft::msg::RequestVote{1, 0, 0});
   run(Duration::millis(10));
-  puppet(1).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{1, 0, 0});
+  puppet(1).send(replica_id(), raft::msg::RequestVote{1, 0, 0});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(1).count(raft::msg::kVoteReply), 1);
-  EXPECT_FALSE(
-      puppet(1).last(raft::msg::kVoteReply)->as<raft::msg::VoteReply>().granted);
+  ASSERT_EQ(puppet(1).count<raft::msg::VoteReply>(), 1);
+  EXPECT_FALSE(puppet(1).last<raft::msg::VoteReply>()->granted);
 }
 
 TEST_F(RaftProtocolTest, RejectsVoteForStaleLog) {
   // Give the replica a log entry at term 2 via AppendEntries.
-  puppet(0).send(replica_id(), raft::msg::kAppendEntries,
+  puppet(0).send(replica_id(),
                  raft::msg::AppendEntries{2, 0, 0,
                                           {entry(2, 0, 1, "x")}, 0, 0, LocalTime()});
   run(Duration::millis(10));
@@ -123,52 +120,43 @@ TEST_F(RaftProtocolTest, RejectsVoteForStaleLog) {
   run(Duration::seconds(100));
   // A candidate with an older last-log term must be rejected even in a
   // newer term.
-  puppet(1).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{3, 5, 1});
+  puppet(1).send(replica_id(), raft::msg::RequestVote{3, 5, 1});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(1).count(raft::msg::kVoteReply), 1);
-  EXPECT_FALSE(
-      puppet(1).last(raft::msg::kVoteReply)->as<raft::msg::VoteReply>().granted);
+  ASSERT_EQ(puppet(1).count<raft::msg::VoteReply>(), 1);
+  EXPECT_FALSE(puppet(1).last<raft::msg::VoteReply>()->granted);
   // One with an equal term and >= length is accepted.
-  puppet(2).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{3, 1, 2});
+  puppet(2).send(replica_id(), raft::msg::RequestVote{3, 1, 2});
   run(Duration::millis(10));
-  EXPECT_TRUE(
-      puppet(2).last(raft::msg::kVoteReply)->as<raft::msg::VoteReply>().granted);
+  EXPECT_TRUE(puppet(2).last<raft::msg::VoteReply>()->granted);
 }
 
 TEST_F(RaftProtocolTest, LeaderContactBlocksPromptVotes) {
   // A heartbeat from the term-1 leader...
-  puppet(0).send(replica_id(), raft::msg::kAppendEntries,
+  puppet(0).send(replica_id(),
                  raft::msg::AppendEntries{1, 0, 0, {}, 0, 0, LocalTime()});
   run(Duration::millis(10));
   // ...makes the replica disregard an otherwise acceptable vote request for
   // election_timeout_min (leader stickiness: granting sooner could elect a
   // new leader inside the old leader's read lease).
-  puppet(1).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{2, 0, 0});
+  puppet(1).send(replica_id(), raft::msg::RequestVote{2, 0, 0});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(1).count(raft::msg::kVoteReply), 1);
-  EXPECT_FALSE(
-      puppet(1).last(raft::msg::kVoteReply)->as<raft::msg::VoteReply>().granted);
+  ASSERT_EQ(puppet(1).count<raft::msg::VoteReply>(), 1);
+  EXPECT_FALSE(puppet(1).last<raft::msg::VoteReply>()->granted);
   EXPECT_EQ(replica().term(), 1);  // disregarded entirely: no term bump
   // Once the window lapses with no further leader contact, the same request
   // is granted.
   run(Duration::seconds(100));
-  puppet(1).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{2, 0, 0});
+  puppet(1).send(replica_id(), raft::msg::RequestVote{2, 0, 0});
   run(Duration::millis(10));
-  EXPECT_TRUE(
-      puppet(1).last(raft::msg::kVoteReply)->as<raft::msg::VoteReply>().granted);
+  EXPECT_TRUE(puppet(1).last<raft::msg::VoteReply>()->granted);
 }
 
 TEST_F(RaftProtocolTest, AppendRejectsMismatchedPrev) {
-  puppet(0).send(replica_id(), raft::msg::kAppendEntries,
+  puppet(0).send(replica_id(),
                  raft::msg::AppendEntries{1, 3, 1, {entry(1, 0, 1, "x")}, 0, 0, LocalTime()});
   run(Duration::millis(10));
-  ASSERT_EQ(puppet(0).count(raft::msg::kAppendReply), 1);
-  const auto& reply =
-      puppet(0).last(raft::msg::kAppendReply)->as<raft::msg::AppendReply>();
+  ASSERT_EQ(puppet(0).count<raft::msg::AppendReply>(), 1);
+  const auto& reply = *puppet(0).last<raft::msg::AppendReply>();
   EXPECT_FALSE(reply.success);
   EXPECT_EQ(reply.match_index, 0);  // hint: follower log length
   EXPECT_EQ(replica().log_size(), 0u);
@@ -177,14 +165,14 @@ TEST_F(RaftProtocolTest, AppendRejectsMismatchedPrev) {
 TEST_F(RaftProtocolTest, ConflictingSuffixIsTruncated) {
   // Term-1 leader appends two entries.
   puppet(0).send(
-      replica_id(), raft::msg::kAppendEntries,
+      replica_id(),
       raft::msg::AppendEntries{
           1, 0, 0, {entry(1, 0, 1, "a"), entry(1, 0, 2, "b")}, 0, 0, LocalTime()});
   run(Duration::millis(10));
   EXPECT_EQ(replica().log_size(), 2u);
   // Term-2 leader replaces index 2 with its own entry.
   puppet(1).send(
-      replica_id(), raft::msg::kAppendEntries,
+      replica_id(),
       raft::msg::AppendEntries{2, 1, 1, {entry(2, 1, 1, "c")}, 0, 0, LocalTime()});
   run(Duration::millis(10));
   ASSERT_EQ(replica().log_size(), 2u);
@@ -194,14 +182,14 @@ TEST_F(RaftProtocolTest, ConflictingSuffixIsTruncated) {
 
 TEST_F(RaftProtocolTest, CommitFollowsLeaderCommit) {
   puppet(0).send(
-      replica_id(), raft::msg::kAppendEntries,
+      replica_id(),
       raft::msg::AppendEntries{
           1, 0, 0, {entry(1, 0, 1, "a"), entry(1, 0, 2, "b")}, 1, 0, LocalTime()});
   run(Duration::millis(10));
   EXPECT_EQ(replica().commit_index(), 1);
   EXPECT_EQ(replica().last_applied(), 1);
   // Leader commit beyond our log length is clamped.
-  puppet(0).send(replica_id(), raft::msg::kAppendEntries,
+  puppet(0).send(replica_id(),
                  raft::msg::AppendEntries{1, 2, 1, {}, 99, 0, LocalTime()});
   run(Duration::millis(10));
   EXPECT_EQ(replica().commit_index(), 2);
@@ -209,15 +197,13 @@ TEST_F(RaftProtocolTest, CommitFollowsLeaderCommit) {
 }
 
 TEST_F(RaftProtocolTest, StaleTermAppendRejected) {
-  puppet(0).send(replica_id(), raft::msg::kRequestVote,
-                 raft::msg::RequestVote{5, 0, 0});
+  puppet(0).send(replica_id(), raft::msg::RequestVote{5, 0, 0});
   run(Duration::millis(10));
   EXPECT_EQ(replica().term(), 5);
-  puppet(1).send(replica_id(), raft::msg::kAppendEntries,
+  puppet(1).send(replica_id(),
                  raft::msg::AppendEntries{3, 0, 0, {entry(3, 1, 1, "x")}, 0, 0, LocalTime()});
   run(Duration::millis(10));
-  const auto& reply =
-      puppet(1).last(raft::msg::kAppendReply)->as<raft::msg::AppendReply>();
+  const auto& reply = *puppet(1).last<raft::msg::AppendReply>();
   EXPECT_FALSE(reply.success);
   EXPECT_EQ(reply.term, 5);
   EXPECT_EQ(replica().log_size(), 0u);
@@ -225,12 +211,12 @@ TEST_F(RaftProtocolTest, StaleTermAppendRejected) {
 
 TEST_F(RaftProtocolTest, DuplicateAppendIsIdempotent) {
   const raft::msg::AppendEntries append{1, 0, 0, {entry(1, 0, 1, "a")}, 1, 0, LocalTime()};
-  puppet(0).send(replica_id(), raft::msg::kAppendEntries, append);
-  puppet(0).send(replica_id(), raft::msg::kAppendEntries, append);
+  puppet(0).send(replica_id(), append);
+  puppet(0).send(replica_id(), append);
   run(Duration::millis(10));
   EXPECT_EQ(replica().log_size(), 1u);
   EXPECT_EQ(replica().commit_index(), 1);
-  EXPECT_EQ(puppet(0).count(raft::msg::kAppendReply), 2);  // both acked
+  EXPECT_EQ(puppet(0).count<raft::msg::AppendReply>(), 2);  // both acked
 }
 
 }  // namespace

@@ -10,13 +10,31 @@
 namespace cht::sim {
 namespace {
 
+// Test payloads; like every wire struct, each names itself.
+struct Hello {
+  static constexpr const char* kType = "hello";
+};
+struct Note {
+  static constexpr const char* kType = "m";
+};
+struct LastWords {
+  static constexpr const char* kType = "last-words";
+};
+// One broadcast round of DeterministicBySeed; logged as "r<round>".
+struct Round {
+  static constexpr const char* kType = "r";
+  int round = 0;
+};
+
 // A process that logs everything it sees, for observing runtime semantics.
 class Probe : public Process {
  public:
   std::vector<std::string> events;
   void on_start() override { events.push_back("start"); }
   void on_message(const Message& message) override {
-    events.push_back("msg:" + message.type + ":from" +
+    std::string type = message.type;
+    if (const auto* r = message.get<Round>()) type += std::to_string(r->round);
+    events.push_back("msg:" + type + ":from" +
                      std::to_string(message.from.index()));
   }
   void on_crash() override { events.push_back("crash"); }
@@ -44,7 +62,7 @@ TEST(SimulationTest, SendAndBroadcastDeliver) {
   Simulation sim(quick_config());
   for (int i = 0; i < 3; ++i) sim.add_process(std::make_unique<Probe>());
   sim.start();
-  sim.process(ProcessId(0)).broadcast("hello", std::string("x"));
+  sim.process(ProcessId(0)).broadcast(Hello{});
   sim.run_until(RealTime::zero() + Duration::millis(10));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).events.back(), "msg:hello:from0");
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(2)).events.back(), "msg:hello:from0");
@@ -58,8 +76,8 @@ TEST(SimulationTest, CrashedProcessesReceiveNothingAndSendNothing) {
   sim.start();
   sim.crash(ProcessId(1));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).events.back(), "crash");
-  sim.process(ProcessId(0)).send(ProcessId(1), "m", std::string());
-  sim.process(ProcessId(1)).send(ProcessId(0), "m", std::string());
+  sim.process(ProcessId(0)).send(ProcessId(1), Note{});
+  sim.process(ProcessId(1)).send(ProcessId(0), Note{});
   sim.run_until(RealTime::zero() + Duration::millis(10));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(0)).events.size(), 1u);  // start only
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).events.back(), "crash");
@@ -69,7 +87,7 @@ TEST(SimulationTest, MessagesInFlightAtCrashStillDeliver) {
   Simulation sim(quick_config());
   for (int i = 0; i < 2; ++i) sim.add_process(std::make_unique<Probe>());
   sim.start();
-  sim.process(ProcessId(1)).send(ProcessId(0), "last-words", std::string());
+  sim.process(ProcessId(1)).send(ProcessId(0), LastWords{});
   sim.crash(ProcessId(1));
   sim.run_until(RealTime::zero() + Duration::millis(10));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(0)).events.back(),
@@ -128,8 +146,7 @@ TEST(SimulationTest, DeterministicBySeed) {
     for (int i = 0; i < 3; ++i) sim.add_process(std::make_unique<Probe>());
     sim.start();
     for (int round = 0; round < 20; ++round) {
-      sim.process(ProcessId(round % 3))
-          .broadcast("r" + std::to_string(round), std::string());
+      sim.process(ProcessId(round % 3)).broadcast(Round{round});
       sim.run_until(sim.now() + Duration::millis(1));
     }
     sim.run_until(sim.now() + Duration::millis(50));

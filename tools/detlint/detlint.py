@@ -29,9 +29,10 @@ rejects the ways a contributor could break that:
   D5  uninit-fields   Every scalar field of message/event/config structs in
                       the wire-format files (src/core/messages.h,
                       src/sim/message.h, src/raft/raft.h, src/vr/vr.h,
-                      src/core/config.h, src/chaos/spec.h, src/client/wire.h)
-                      must carry a member initializer. An uninitialized field
-                      in a message struct is frame-garbage nondeterminism.
+                      src/core/config.h, src/chaos/spec.h, src/client/wire.h,
+                      any file declaring a `kType`) must carry a member
+                      initializer: an uninitialized message field is
+                      frame-garbage nondeterminism.
   D6  threading       No std::thread/atomics/mutexes outside the parallel
                       seed sweeper (src/chaos/sweep.cc) and bench/. The
                       simulator itself is single-threaded by construction.
@@ -44,24 +45,24 @@ rejects the ways a contributor could break that:
                       artifact reader/writer) is the allowlisted exception.
 
 v2 adds a cross-file pass: before linting, detlint *extracts a protocol
-model* from the tree — the wire-message vocabulary per stack and the
-dispatch arms that consume it, the StableStorage keys written vs. read on
-recovery paths, timer/deadline expressions and the config symbols they
-derive from, the metric names actually registered vs. those documented in
-docs/OBSERVABILITY.md, and every suppression annotation with whether it
-still suppresses anything. The model is dumped as a versioned JSON artifact
-(`--model=PATH`, drift-checked by `--check-model=PATH`) and enforced by five
-rule families:
+model* from the tree — the wire structs per stack with the dispatch arms
+and send sites that consume and produce them, the StableStorage keys
+written vs. read on recovery paths, timer/deadline expressions and the
+config symbols they derive from, the metric names actually registered vs.
+those documented in docs/OBSERVABILITY.md, and every suppression
+annotation with whether it still suppresses anything. The model is dumped
+as a versioned JSON artifact (`--model=PATH`, drift-checked by
+`--check-model=PATH`) and enforced by five rule families:
 
   D8  persistence     Every StableStorage key a protocol directory writes
                       must be read back — and read back on a recovery path
                       (a function whose name contains recover/restart).
                       A key read but never written is equally a finding:
                       the recovery path trusts state nobody produces.
-  D9  dispatch        Every wire message type declared for a stack must have
-                      a dispatch arm (`message.is(msg::kX)`); an arm for a
-                      type that is never sent, or that is not declared in
-                      the stack, is unreachable/untyped and a finding.
+  D9  dispatch        Every wire struct (one declaring a `kType`) of a stack
+                      must have a dispatch arm (`message.get<msg::X>()`); an
+                      arm for a struct never sent or not declared in the
+                      stack, or a kType two structs share, is a finding.
   D10 timer-hygiene   Deadline/timer arithmetic must derive from *named*
                       duration symbols (config fields, named constants,
                       named locals). An anonymous Duration::millis(250)
@@ -102,7 +103,7 @@ import re
 import sys
 
 VERSION = 2
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Directories scanned relative to the repo root (files... overrides).
 SCAN_ROOTS = ("src", "tools", "bench", "examples")
@@ -126,7 +127,7 @@ STACK_DIRS = (
     "src/baselines",
 )
 
-# Wire-format / spec files whose structs rule D5 audits.
+# Wire-format / spec files whose structs rule D5 audits (as it does kType's).
 D5_FILES = (
     "src/core/messages.h", "src/sim/message.h", "src/raft/raft.h",
     "src/vr/vr.h", "src/core/config.h", "src/chaos/spec.h",
@@ -167,7 +168,7 @@ RULES = {
     "D8": "stable-storage persistence incompleteness (key written but never "
           "recovered, or recovered but never written)",
     "D9": "wire-message dispatch non-exhaustive (declared type without a "
-          "dispatch arm, or an unreachable/undeclared arm)",
+          "dispatch arm, an unreachable/undeclared arm, or a reused kType)",
     "D10": "anonymous duration literal in protocol code (deadlines must "
            "derive from named config symbols)",
     "D11": "metric name dynamically constructed, or emitted but absent from "
@@ -197,7 +198,7 @@ SUGGESTIONS = {
           "recovery never consults is durability theater",
     "D9": "add a dispatch arm in the stack's on_message switch for every "
           "declared type; delete arms (and declarations) for messages the "
-          "stack no longer sends",
+          "stack no longer sends; give every wire struct its own kType",
     "D10": "bind the literal to a named symbol first (a Config field, a "
            "constexpr Duration kFoo, or a named local) so deadline "
            "arithmetic reads as named quantities",
@@ -407,6 +408,9 @@ D5_FIELD_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?P<type>(?:" + D5_SCALAR + r")(?:\s*\*)?)\s+"
     r"(?P<name>\w+)\s*(?P<init>;|=|\{)")
 STRUCT_OPEN_RE = re.compile(r"^\s*(?:struct|class)\s+(\w+)[^;]*\{")
+# A wire struct's self-declared message name.
+KTYPE_RE = re.compile(
+    r"\bstatic\s+constexpr\s+const\s+char\s*\*\s*kType\s*=\s*\"([^\"]*)\"")
 
 # D10 — an anonymous duration literal inside an expression. A literal is
 # fine exactly where it *names* a symbol: a config-struct default, a
@@ -457,6 +461,7 @@ class FileScan:
         self.findings = []
         self.candidates = set()   # (line 1-based, rule), post-allowlist
         self.suppress = []        # (line 1-based, rule, valid, standalone)
+        self.wire_structs = []    # (struct name, kType value, line 1-based)
         # Suppressions: own line, plus carry-over from a pure-comment line.
         self.active = []
         carried = set()
@@ -482,16 +487,13 @@ class FileScan:
                                      snippet, message))
 
 
-def first_call_arg(scan, lineno0, start_col):
-    """Parse the first argument of a call whose opening paren sits at or
-    after `start_col` on comment-stripped line `lineno0` (craw — literal
-    content intact). Returns (literals, dynamic, text): the string literals
-    inside the first argument, whether the argument shows dynamic
-    construction, and the argument text. Spans at most three lines."""
-    pieces = []
+def call_args(scan, lineno0, start_col):
+    """The top-level arguments of a call whose opening paren sits at or after
+    `start_col` on line `lineno0` (craw — literal content intact). Spans at
+    most three lines; an argument still open after them is cut there."""
+    args = [[]]
     depth = 0
     started = False
-    done = False
     for off in range(3):
         idx = lineno0 + off
         if idx >= len(scan.lines):
@@ -502,41 +504,39 @@ def first_call_arg(scan, lineno0, start_col):
             c = raw[i]
             if c == '"':
                 j = i + 1
-                while j < len(raw):
-                    if raw[j] == "\\":
-                        j += 2
-                        continue
-                    if raw[j] == '"':
-                        break
-                    j += 1
+                while j < len(raw) and raw[j] != '"':
+                    j += 2 if raw[j] == "\\" else 1
                 if started:
-                    pieces.append(raw[i:j + 1])
+                    args[-1].append(raw[i:j + 1])
                 i = j + 1
                 continue
-            if c == "(":
+            if c in "([{":
                 depth += 1
                 if depth == 1:
                     started = True
                     i += 1
                     continue
-            elif c == ")":
+            elif c in ")]}":
                 depth -= 1
                 if depth <= 0 and started:
-                    done = True
-                    break
+                    return ["".join(a).strip() for a in args]
             elif c == "," and depth == 1:
-                done = True
-                break
+                args.append([])
+                i += 1
+                continue
             if started:
-                pieces.append(c)
+                args[-1].append(c)
             i += 1
-        if done:
-            break
-    text = "".join(pieces)
+    return ["".join(a).strip() for a in args]
+
+
+def first_call_arg(scan, lineno0, start_col):
+    """(string literals, built dynamically?, text) of a call's first arg."""
+    text = call_args(scan, lineno0, start_col)[0]
     literals = STRING_LITERAL_RE.findall(text)
     blanked = STRING_LITERAL_RE.sub('""', text)
     dynamic = bool(D11_DYNAMIC_MARKERS.search(blanked))
-    return literals, dynamic, text.strip()
+    return literals, dynamic, text
 
 
 def paired_calls(regex, code, craw):
@@ -631,14 +631,20 @@ def scan_file_regex(scan):
                               "(names must be literals so registration is "
                               "bounded and auditable)" % (text[:60] or "?"))
 
-    # Pass 3: D5 struct-field audit (configured files only).
-    if path in D5_FILES:
+    # Pass 3: D5 struct-field audit of the wire-format files (D5_FILES, and
+    # every file declaring a kType); records wire structs for the model.
+    if path in D5_FILES or any(KTYPE_RE.search(craw) for _, _, craw in lines):
         depth = 0
         struct_depth = []  # brace depth at which each open struct's body sits
-        for idx, (code, _, _craw) in enumerate(lines):
+        struct = None
+        for idx, (code, _, craw) in enumerate(lines):
             opens_struct = STRUCT_OPEN_RE.search(code)
             if opens_struct:
                 struct_depth.append(depth + 1)
+                struct = opens_struct.group(1)
+            ktype = KTYPE_RE.search(craw)
+            if ktype:
+                scan.wire_structs.append((struct, ktype.group(1), idx + 1))
             if struct_depth and depth == struct_depth[-1] and "(" not in code:
                 m = D5_FIELD_RE.search(code)
                 if m and m.group("init") == ";":
@@ -659,9 +665,13 @@ CONST_STR_RE = re.compile(
 CONST_STR_VALUE_RE = re.compile(
     r"(?:inline\s+|static\s+)*constexpr\s+const\s+char\s*\*\s*"
     r"(k\w+)\s*=\s*\"([^\"]*)\"")
-MESSAGE_VALUE_RE = re.compile(r"^[a-z]\w*\.[a-z]\w*$")
-DISPATCH_RE = re.compile(r"\.\s*is\s*\(\s*((?:\w+::)*k\w+)\s*\)")
+# A typed dispatch arm, `message.get<msg::Prepare>()`.
+DISPATCH_RE = re.compile(
+    r"(?:\.|->)\s*get\s*<\s*((?:\w+::)*\w+)\s*>\s*\(\s*\)")
 SEND_RE = re.compile(r"\b(?:send|broadcast)\s*\(")
+# A payload sent as a temporary, or as a named local (maybe std::move'd).
+TEMPORARY_RE = re.compile(r"(?!std::move\b)(?:\w+::)*(\w+)\s*[{(]")
+LOCAL_RE = re.compile(r"(?:std::move\s*\(\s*)?(\w+)\s*\)?")
 STORAGE_ALIAS_RE = re.compile(r"StableStorage&\s+(\w+)\s*=")
 STORAGE_OPS = ("write", "erase", "read", "append", "truncate_log",
                "keys_with_prefix", "log_size", "log")
@@ -739,6 +749,27 @@ def parse_key_arg(scan, lineno0, start_col, constants):
     return None, "dynamic"
 
 
+def sent_struct(scan, lineno0, start_col, fns, messages):
+    """The wire struct of `messages` a send/broadcast call sends (or None):
+    its last argument is a temporary (`msg::Prepare{...}`), or a local or
+    parameter declared in the enclosing function (`msg::Prepare prepare`)."""
+    arg = call_args(scan, lineno0, start_col)[-1]
+    m = TEMPORARY_RE.match(arg)
+    if m:
+        return m.group(1) if m.group(1) in messages else None
+    m = LOCAL_RE.fullmatch(arg)
+    if m is None:
+        return None
+    decl = re.compile(r"(\w+)\s*[&*]?\s+" + m.group(1) + r"\s*[{=;(),]")
+    for idx in range(lineno0, -1, -1):
+        if fns[idx] != fns[lineno0]:
+            break
+        for d in decl.finditer(scan.lines[idx][0]):
+            if d.group(1) in messages:
+                return d.group(1)
+    return None
+
+
 def extract_model(scans, root):
     """Builds the cross-file protocol model: per-stack message vocabulary and
     dispatch/send sites, storage-key read/write sites, timer expressions, the
@@ -753,41 +784,28 @@ def extract_model(scans, root):
 
     def stack_entry(stack):
         return model["stacks"].setdefault(stack, {
-            "messages": {},       # const name -> info
+            "messages": {},       # wire struct name -> info
             "storage": {"keys": {}, "log": {"writes": [], "reads": []},
                         "dynamic_reads": []},
             "timers": [],
         })
 
-    # Pass A: declarations (string constants) per stack, storage-key usage.
-    constants_by_file = {}
-    for scan in scans.values():
-        consts = {}
-        for idx, (code, _, craw) in enumerate(scan.lines):
-            if CONST_STR_RE.search(code):
-                m = CONST_STR_VALUE_RE.search(craw)
-                if m:
-                    consts[m.group(1)] = (m.group(2), idx + 1)
-        constants_by_file[scan.path] = consts
-
+    # Pass A: string constants per stack (the names of storage keys).
     constants_by_stack = {}
-    for scan in scans.values():
-        stack = stack_of(scan.path)
-        if stack is None:
-            continue
-        bucket = constants_by_stack.setdefault(stack, {})
-        for name, (value, lineno1) in constants_by_file[scan.path].items():
-            bucket.setdefault(name, (value, scan.path, lineno1))
+    for path, scan in scans.items():
+        bucket = constants_by_stack.setdefault(stack_of(path), {})
+        for code, _, craw in scan.lines:
+            m = CONST_STR_RE.search(code) and CONST_STR_VALUE_RE.search(craw)
+            if m:
+                bucket.setdefault(m.group(1), m.group(2))
 
     # Pass B: storage calls, dispatch/send sites, timers — per stack file.
-    storage_key_consts = {}   # stack -> set of const names used as keys
     for scan in scans.values():
         stack = stack_of(scan.path)
         if stack is None:
             continue
         entry = stack_entry(stack)
-        file_consts = {
-            n: v for n, (v, _p, _l) in constants_by_stack[stack].items()}
+        file_consts = constants_by_stack[stack]
         aliases = set()
         for code, _, _craw in scan.lines:
             m = STORAGE_ALIAS_RE.search(code)
@@ -836,12 +854,6 @@ def extract_model(scans, root):
                     rec["reads"].append({"site": where, "function": fn})
                     if recovery:
                         rec["recovery_reads"].append(where)
-                # Remember constants used as storage keys so the message
-                # inventory can exclude them (e.g. "els.counter").
-                arg_m = re.match(r"\s*([A-Za-z_]\w*)", craw[m.end():])
-                if arg_m and arg_m.group(1) in file_consts:
-                    storage_key_consts.setdefault(stack, set()).add(
-                        arg_m.group(1))
 
             # Timers: scheduling sites and deadline-function definitions.
             for sched in paired_calls(SCHEDULE_RE, code, craw)[:1]:
@@ -861,41 +873,33 @@ def extract_model(scans, root):
                      "expr": "", "config_symbols": [],
                      "has_literal": False})
 
-    # Pass C: message inventory + dispatch/send sites.
-    for stack, consts in sorted(constants_by_stack.items()):
-        entry = stack_entry(stack)
-        key_consts = storage_key_consts.get(stack, set())
+    # Pass C: wire structs (self-named by kType) + dispatch/send sites.
+    for stack, entry in sorted(model["stacks"].items()):
+        stack_scans = [scan for path, scan in sorted(scans.items())
+                       if stack_of(path) == stack]
         messages = {}
-        for name, (value, path, lineno1) in sorted(consts.items()):
-            if name in key_consts:
-                continue
-            if not MESSAGE_VALUE_RE.match(value):
-                continue
-            messages[name] = {"type": value,
-                              "declared": site(path, lineno1),
-                              "dispatched": [], "sent": []}
+        for scan in stack_scans:
+            for name, value, lineno1 in scan.wire_structs:
+                messages.setdefault(name, {
+                    "type": value, "declared": site(scan.path, lineno1),
+                    "dispatched": [], "sent": []})
         undeclared_arms = []
-        for scan in scans.values():
-            if stack_of(scan.path) != stack:
-                continue
-            decl_lines = {info["declared"] for info in messages.values()}
-            for idx, (code, _, _craw) in enumerate(scan.lines):
+        for scan in stack_scans:
+            fns = [fn for _i, _c, _r, fn in current_function_tracker(scan)]
+            for idx, (code, _, craw) in enumerate(scan.lines):
                 where = site(scan.path, idx + 1)
                 for m in DISPATCH_RE.finditer(code):
                     name = m.group(1).split("::")[-1]
                     if name in messages:
                         messages[name]["dispatched"].append(where)
-                    elif name in consts or name in key_consts:
-                        pass  # a storage-key or non-message constant
                     else:
-                        undeclared_arms.append((name, scan.path, idx))
-                if SEND_RE.search(code) and where not in decl_lines:
-                    for name in messages:
-                        if re.search(r"\b" + re.escape(name) + r"\b", code):
-                            messages[name]["sent"].append(where)
+                        undeclared_arms.append({"name": name, "site": where})
+                for m in paired_calls(SEND_RE, code, craw):
+                    name = sent_struct(scan, idx, m.end() - 1, fns, messages)
+                    if name is not None:
+                        messages[name]["sent"].append(where)
         entry["messages"] = messages
-        entry["undeclared_arms"] = [
-            {"name": n, "site": site(p, i + 1)} for n, p, i in undeclared_arms]
+        entry["undeclared_arms"] = undeclared_arms
 
     # Pass D: metric registrations (literal names only; dynamic ones were
     # already flagged per-line) across src/.
@@ -997,6 +1001,17 @@ def cross_file_findings(scans, model):
             emit_at(arm["site"], "D9",
                     "dispatch arm references %s, which is not a message "
                     "type declared in %s" % (arm["name"], stack))
+
+    # --- D9: one name, one struct ------------------------------------
+    first_by_type = {}
+    for stack, entry in sorted(model["stacks"].items()):
+        for name, info in entry["messages"].items():
+            first = first_by_type.setdefault(info["type"], (stack, name))
+            if first != (stack, name):
+                emit_at(info["declared"], "D9",
+                        "wire name \"%s\" of %s is already %s's: their "
+                        "per-type counts and trace lines would merge"
+                        % (info["type"], name, first[1]))
 
     # --- D11: emitted ⊆ documented ------------------------------------
     documented = model["metrics"]["documented"]

@@ -1,34 +1,41 @@
-// Fixture: rule D9 — handler exhaustiveness over the vocabulary declared in
-// wire_d9.h. Positive cases: an arm for a type that is never sent, and an
-// arm for a type the stack never declared. (The declared-but-unhandled case
-// is flagged at the declaration, in wire_d9.h.)
-#include <string>
-
+// Fixture: rule D9 — handler exhaustiveness over the wire structs declared
+// in wire_d9.h. Positive cases: an arm for a type that is never sent, and an
+// arm for a type the stack never declared.
 namespace fixture {
 
 struct Message {
-  bool is(const char* type) const;
+  template <class T> const T* get() const;
 };
 
 struct Endpoint {
-  void send(int to, const char* type, const std::string& payload);
-  void broadcast(const char* type, const std::string& payload);
+  template <class T> void send(int to, T payload);
+  template <class T> void broadcast(const T& payload);
 
   void pump() {
-    send(1, msg::kPing, "x");
-    broadcast(msg::kPong, "y");
-    send(2, msg::kLost, "z");
+    send(1, msg::Ping{});
+    broadcast(msg::Pong{7});
+    send(2, msg::Lost{});
+    send(3, msg::Twin{});
+    send(3, msg::TwinCopy{});
+    const msg::Echo echo{};
+    send(4, echo);
+    msg::Echo copy;
+    send(4, std::move(copy));
   }
 
+  void forward(int to, const msg::Relay& relay) { send(to, relay); }
+
   void on_message(const Message& message) {
-    if (message.is(msg::kPing)) {
-      // Negative: declared, dispatched, sent.
-    } else if (message.is(msg::kPong)) {
-      // Negative: broadcast counts as a send site.
-    } else if (message.is(msg::kGhost)) {  // detlint-expect: D9
+    if (message.get<msg::Ping>() != nullptr) {
+    } else if (const auto* pong = message.get<msg::Pong>()) {
+    } else if (message.get<msg::Echo>() != nullptr) {
+    } else if (message.get<msg::Relay>() != nullptr) {
+    } else if (message.get<msg::Twin>() != nullptr) {
+    } else if (message.get<msg::TwinCopy>() != nullptr) {
+    } else if (message.get<msg::Ghost>() != nullptr) {  // detlint-expect: D9
       // Unreachable: nothing in this stack ever sends cl.ghost.
-    } else if (message.is(msg::kAlien)) {  // detlint-expect: D9
-      // Undeclared: kAlien is not part of this stack's vocabulary.
+    } else if (message.get<msg::Alien>() != nullptr) {  // detlint-expect: D9
+      // Undeclared: Alien is not part of this stack's vocabulary.
     }
   }
 };
