@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark): substrate costs underlying the
-// experiment harnesses — object apply, event-queue throughput, simulated
-// cluster event rate, and linearizability checking.
+// experiment harnesses — object apply, event-queue throughput, broadcast
+// fan-out, simulated cluster event rate, and linearizability checking.
 //
 // Unlike the stock BENCHMARK_MAIN(), the main() below understands the common
 // bench flags (--smoke, --out=) and renders results through ExperimentResult,
@@ -15,10 +15,12 @@
 
 #include "checker/linearizability.h"
 #include "common/experiment.h"
+#include "core/messages.h"
 #include "harness/stack_cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 #include "sim/event_queue.h"
+#include "sim/simulation.h"
 
 namespace {
 
@@ -61,6 +63,40 @@ void BM_SimulatedClusterSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedClusterSecond)->Arg(3)->Arg(5)->Arg(9);
+
+// A replica stand-in that only counts the commits it is handed.
+class CommitSink : public sim::Process {
+ public:
+  void on_message(const sim::Message& message) override {
+    if (message.get<core::msg::Commit>() != nullptr) ++received;
+  }
+  std::int64_t received = 0;
+};
+
+void BM_BroadcastDeliver(benchmark::State& state) {
+  // Fan-out cost of one Commit carrying 4 ops on an n-process cluster:
+  // broadcast it through the network and deliver every copy.
+  sim::SimulationConfig config;
+  config.network.gst = RealTime::zero();
+  sim::Simulation sim(config);
+  const int n = static_cast<int>(state.range(0));
+  for (int i = 0; i < n; ++i) sim.add_process(std::make_unique<CommitSink>());
+  sim.start();
+  core::msg::Commit commit;
+  commit.number = 1;
+  for (int i = 0; i < 4; ++i) {
+    commit.ops.push_back(core::BatchOp{
+        OperationId{ProcessId(0), i},
+        object::KVObject::put("k" + std::to_string(i), "v")});
+  }
+  for (auto _ : state) {
+    sim.process(ProcessId(0)).broadcast(commit);
+    while (sim.queue().step()) {
+    }
+  }
+  benchmark::DoNotOptimize(sim.process_as<CommitSink>(ProcessId(1)).received);
+}
+BENCHMARK(BM_BroadcastDeliver)->Arg(5)->Arg(9);
 
 void BM_LinearizabilityChecker(benchmark::State& state) {
   // Sequential register history of `range` ops: checker fast path.
@@ -220,8 +256,9 @@ int main(int argc, char** argv) {
 
   cht::bench::ExperimentResult result("micro", out, smoke);
   result.begin("micro: substrate costs (google-benchmark)",
-               "Object apply, event-queue throughput, full-stack simulated\n"
-               "cluster rates, and linearizability-checker scaling.");
+               "Object apply, event-queue throughput, broadcast fan-out,\n"
+               "full-stack simulated cluster rates, and linearizability-\n"
+               "checker scaling.");
   result.columns({"benchmark", "iterations", "real ns/iter", "cpu ns/iter"});
   ResultCollector collector(result);
   benchmark::RunSpecifiedBenchmarks(&collector);

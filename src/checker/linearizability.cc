@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -31,8 +32,7 @@ class Search {
 
   LinearizabilityResult run() {
     LinearizabilityResult result;
-    auto state = model_.make_initial_state();
-    if (dfs(*state, 0)) {
+    if (dfs(model_.make_initial_state())) {
       result.linearizable = true;
       result.order = order_;
     } else if (budget_exhausted_) {
@@ -78,20 +78,39 @@ class Search {
     return key;
   }
 
-  bool dfs(object::ObjectState& state, std::size_t base) {
-    if (budget_exhausted_) return false;
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  // One level of the depth-first search: a search state, and how far its
+  // candidate scan has got. The search keeps these on an explicit stack, so
+  // a long history cannot overflow the call stack.
+  struct Frame {
+    std::unique_ptr<object::ObjectState> state;
+    std::size_t base = 0;
+    RealTime min_response;
+    int pass = 0;                 // 0: completed candidates, 1: pending ones
+    std::size_t next = 0;         // next index the scan looks at
+    std::size_t placed = kNone;   // candidate whose subtree is being searched
+    std::size_t saved_last = 0;   // last_linearized_ before `placed`
+  };
+  enum class Entry { kFound, kDeadEnd, kOpened };
+
+  // Enters the search state (state, base): either decides it at once or
+  // pushes its frame.
+  Entry enter(std::unique_ptr<object::ObjectState> state, std::size_t base,
+              std::vector<Frame>& stack) {
+    if (budget_exhausted_) return Entry::kDeadEnd;
     while (base < history_.size() && linearized_[base]) ++base;
-    if (completed_remaining_ == 0) return true;  // all completed ops placed
+    if (completed_remaining_ == 0) return Entry::kFound;  // all placed
 
     if (completed_total_ - completed_remaining_ > best_progress_) {
       best_progress_ = completed_total_ - completed_remaining_;
       stuck_example_ = history_.size();
     }
 
-    if (!memo_.insert(memo_key(state, base)).second) return false;
+    if (!memo_.insert(memo_key(*state, base)).second) return Entry::kDeadEnd;
     if (max_states_ != 0 && memo_.size() >= max_states_) {
       budget_exhausted_ = true;
-      return false;
+      return Entry::kDeadEnd;
     }
 
     // The earliest response among non-linearized ops bounds which op may be
@@ -106,39 +125,80 @@ class Search {
       // that matters for candidacy; stop once invocations pass it.
       if (history_[i].invoked > min_response) break;
     }
+    stack.push_back(Frame{std::move(state), base, min_response, /*pass=*/0,
+                          /*next=*/base});
+    return Entry::kOpened;
+  }
 
-    // Try completed candidates before pending ones: pending operations
-    // (typically writes whose submitter crashed) most often never took
-    // effect, and exploring their speculative insertions first makes the
-    // search exponential in their number. Completed-first finds witnesses
-    // of linearizable histories quickly; completeness is unaffected (both
-    // passes together cover every candidate).
-    for (const bool pending_pass : {false, true}) {
-      for (std::size_t i = base; i < history_.size(); ++i) {
+  // The frame's next candidate whose response matches, with the state after
+  // it in `next_state`; kNone once both passes are exhausted.
+  //
+  // Completed candidates are tried before pending ones: pending operations
+  // (typically writes whose submitter crashed) most often never took
+  // effect, and exploring their speculative insertions first makes the
+  // search exponential in their number. Completed-first finds witnesses of
+  // linearizable histories quickly; completeness is unaffected (both passes
+  // together cover every candidate).
+  std::size_t next_candidate(Frame& frame,
+                             std::unique_ptr<object::ObjectState>& next_state) {
+    for (; frame.pass < 2; ++frame.pass, frame.next = frame.base) {
+      const bool pending_pass = frame.pass == 1;
+      for (; frame.next < history_.size(); ++frame.next) {
+        const std::size_t i = frame.next;
         if (linearized_[i]) continue;
-        if (history_[i].invoked > min_response) break;  // sorted by invocation
+        if (history_[i].invoked > frame.min_response) break;  // by invocation
         const HistoryOp& op = history_[i];
         if (op.completed() == pending_pass) continue;
 
-        auto next_state = state.clone();
+        next_state = frame.state->clone();
         const object::Response got = model_.apply(*next_state, op.op);
         if (op.completed() && got != *op.response) {
           if (stuck_example_ == history_.size()) stuck_example_ = i;
           continue;  // response mismatch: cannot take effect here
         }
+        ++frame.next;
+        return i;
+      }
+    }
+    return kNone;
+  }
 
-        linearized_[i] = true;
-        const std::size_t saved_last = last_linearized_;
-        last_linearized_ = std::max(last_linearized_, i);
-        if (op.completed()) --completed_remaining_;
-        order_.push_back(i);
+  void place(Frame& frame, std::size_t i) {
+    linearized_[i] = true;
+    frame.placed = i;
+    frame.saved_last = last_linearized_;
+    last_linearized_ = std::max(last_linearized_, i);
+    if (history_[i].completed()) --completed_remaining_;
+    order_.push_back(i);
+  }
 
-        if (dfs(*next_state, base)) return true;
+  void unplace(Frame& frame) {
+    const std::size_t i = frame.placed;
+    order_.pop_back();
+    if (history_[i].completed()) ++completed_remaining_;
+    last_linearized_ = frame.saved_last;
+    linearized_[i] = false;
+    frame.placed = kNone;
+  }
 
-        order_.pop_back();
-        if (op.completed()) ++completed_remaining_;
-        last_linearized_ = saved_last;
-        linearized_[i] = false;
+  // Depth-first search for a linearization, from the initial state.
+  bool dfs(std::unique_ptr<object::ObjectState> initial) {
+    std::vector<Frame> stack;
+    stack.reserve(history_.size() + 1);  // one frame per placed op, at most
+    if (enter(std::move(initial), 0, stack) == Entry::kFound) return true;
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      if (frame.placed != kNone) unplace(frame);  // its subtree failed
+      std::unique_ptr<object::ObjectState> next_state;
+      const std::size_t i = next_candidate(frame, next_state);
+      if (i == kNone) {
+        stack.pop_back();  // every candidate failed
+        continue;
+      }
+      place(frame, i);
+      const std::size_t base = frame.base;
+      if (enter(std::move(next_state), base, stack) == Entry::kFound) {
+        return true;
       }
     }
     return false;

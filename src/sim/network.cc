@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.h"
-
 namespace cht::sim {
 
 Duration Network::sample_delay(RealTime now, bool& lose, bool& duplicate) {
@@ -20,10 +18,29 @@ Duration Network::sample_delay(RealTime now, bool& lose, bool& duplicate) {
                    config_.pre_gst_delay_max.to_micros()));
 }
 
+void Network::set_deliver_fn(DeliverFn fn) {
+  queue_.set_deliver_fn([this, fn = std::move(fn)](const Message& message) {
+    ++stats_.delivered;
+    fn(message);
+  });
+}
+
+void Network::count_send(const char* type) {
+  for (const auto& [known, count] : sent_counters_) {
+    if (known == type) {
+      ++*count;
+      return;
+    }
+  }
+  std::int64_t* count = &stats_.sent_by_type[type];
+  sent_counters_.emplace_back(type, count);
+  ++*count;
+}
+
 void Network::send(Message message) {
   const RealTime now = queue_.now();
   ++stats_.sent;
-  ++stats_.sent_by_type[message.type];
+  count_send(message.type);
   if (trace_ != nullptr && trace_->network_enabled()) {
     trace_->record(now, message.from, "net.send",
                    std::string(message.type) + " -> p" +
@@ -58,16 +75,12 @@ void Network::send(Message message) {
     arrival = std::max(arrival, now + config_.delta_min);
   }
 
-  const int copies = duplicate ? 2 : 1;
-  for (int i = 0; i < copies; ++i) {
-    RealTime when = arrival;
-    if (i > 0) when = when + config_.delta_min;  // duplicates arrive later
-    queue_.schedule(when, [this, message] {
-      CHT_ASSERT(deliver_ != nullptr, "network has no delivery callback");
-      ++stats_.delivered;
-      deliver_(message);
-    });
+  if (duplicate) {
+    // The only delivery that copies its envelope (the payload is shared).
+    queue_.schedule_delivery(arrival, message);
+    arrival = arrival + config_.delta_min;  // duplicates arrive later
   }
+  queue_.schedule_delivery(arrival, std::move(message));
 }
 
 void Network::set_link_down(ProcessId from, ProcessId to, bool down) {

@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
@@ -64,13 +64,17 @@ struct MessageStats {
 
 class Network {
  public:
-  using DeliverFn = std::function<void(const Message&)>;
+  using DeliverFn = EventQueue::DeliverFn;
 
   Network(EventQueue& queue, Rng rng, NetworkConfig config)
       : queue_(queue), rng_(rng), config_(config) {}
+  // set_deliver_fn hands the queue a callback bound to this object, and the
+  // per-type counters point into stats_.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // Deliveries are handed to this callback (installed by the Simulation).
-  void set_deliver_fn(DeliverFn fn) { deliver_ = std::move(fn); }
+  void set_deliver_fn(DeliverFn fn);
 
   void send(Message message);
 
@@ -98,14 +102,20 @@ class Network {
 
  private:
   Duration sample_delay(RealTime now, bool& lose, bool& duplicate);
+  void count_send(const char* type);
 
   EventQueue& queue_;
   Rng rng_;
   NetworkConfig config_;
-  DeliverFn deliver_;
   std::set<std::pair<int, int>> down_links_;
   std::map<std::pair<int, int>, Duration> extra_delay_;
   MessageStats stats_;
+  // Per-type send counters keyed by the type pointer, each aliasing its
+  // name's entry in stats_.sent_by_type (map nodes never move): a send
+  // finds its counter by pointer compare, and only a type pointer not seen
+  // before pays the by-name map lookup. Two pointers spelling one name
+  // share a counter.
+  std::vector<std::pair<const char*, std::int64_t*>> sent_counters_;
   Trace* trace_ = nullptr;
 };
 

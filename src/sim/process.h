@@ -11,8 +11,8 @@
 // explicit state machines in subclasses.
 #pragma once
 
-#include <any>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,13 +55,20 @@ class Process {
   template <class T>
   void send(ProcessId to, T payload) {
     static_assert(wire_value_v<T>, "wire payloads must be copyable values");
-    send_message(to, T::kType, std::move(payload));
+    send_message(to, T::kType, &wire_tag<T>,
+                 std::make_shared<const T>(std::move(payload)));
   }
-  // Sends to every process except this one.
+  // Sends to every process except this one; all recipients share one
+  // immutable copy of `payload`.
   template <class T>
   void broadcast(const T& payload) {
+    static_assert(wire_value_v<T>, "wire payloads must be copyable values");
+    const std::shared_ptr<const void> shared =
+        std::make_shared<const T>(payload);
     for (int i = 0; i < n_; ++i) {
-      if (i != id_.index()) send(ProcessId(i), payload);
+      if (i != id_.index()) {
+        send_message(ProcessId(i), T::kType, &wire_tag<T>, shared);
+      }
     }
   }
 
@@ -121,7 +128,8 @@ class Process {
   }
   void mark_crashed() { crashed_ = true; }
 
-  void send_message(ProcessId to, const char* type, std::any payload);
+  void send_message(ProcessId to, const char* type, const void* tag,
+                    std::shared_ptr<const void> payload);
   void start_group_sync();
 
   Simulation* sim_ = nullptr;

@@ -129,12 +129,13 @@ LocalTime Process::now_local() const {
   return sim_->clock(id_).local_time(sim_->now());
 }
 
-void Process::send_message(ProcessId to, const char* type, std::any payload) {
+void Process::send_message(ProcessId to, const char* type, const void* tag,
+                           std::shared_ptr<const void> payload) {
   CHT_ASSERT(sim_ != nullptr, "process not attached");
   if (crashed_) return;
   // Self-sends also go through the network (uniform accounting, no handler
   // reentrancy).
-  Message m{id_, to, type, std::move(payload),
+  Message m{id_, to, type, tag, std::move(payload),
             sim_->clock(id_).local_time(sim_->now())};
   sim_->network().send(std::move(m));
 }
@@ -213,10 +214,7 @@ bool Process::tracing() const {
 EventHandle Process::schedule_after(Duration delay, std::function<void()> fn) {
   CHT_ASSERT(sim_ != nullptr, "process not attached");
   if (crashed_) return EventHandle();
-  return sim_->queue().schedule(
-      sim_->now() + delay, [this, fn = std::move(fn)] {
-        if (!crashed_) fn();
-      });
+  return sim_->queue().schedule(sim_->now() + delay, std::move(fn), &crashed_);
 }
 
 EventHandle Process::schedule_at_local(LocalTime when,

@@ -136,8 +136,9 @@ class Simulation {
   std::vector<std::unique_ptr<StableStorage>> storages_;
   std::vector<std::optional<RealTime>> last_crash_;
   std::vector<int> incarnations_;
-  // Replaced incarnations. Their queued timers capture raw Process*, so
-  // they must stay alive (permanently crashed) until the simulation dies.
+  // Replaced incarnations. Their queued timers capture raw Process* or point
+  // at its crash flag, so they must stay alive (permanently crashed) until
+  // the simulation dies.
   std::vector<std::unique_ptr<Process>> graveyard_;
   Trace trace_;
   bool started_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,16 +18,26 @@ struct Fixture {
   std::vector<std::pair<RealTime, Message>> delivered;
 
   Network make(std::uint64_t seed = 1) {
-    Network network(queue, Rng(seed), config);
-    return network;
+    return Network(queue, Rng(seed), config);
   }
 };
 
-Message make_msg(int from, int to, const char* type = "t") {
+// A numbered test payload.
+struct Seq {
+  static constexpr const char* kType = "t";
+  int n = 0;
+};
+struct Other {
+  static constexpr const char* kType = "other";
+};
+
+Message make_msg(int from, int to, const char* type = Seq::kType, int n = 0) {
   Message m;
   m.from = ProcessId(from);
   m.to = ProcessId(to);
   m.type = type;
+  m.tag = &wire_tag<Seq>;
+  m.payload = std::make_shared<const Seq>(Seq{n});
   return m;
 }
 
@@ -148,6 +159,55 @@ TEST(NetworkTest, PerTypeCounters) {
   EXPECT_EQ(network.stats().sent_of("a"), 2);
   EXPECT_EQ(network.stats().sent_of("b"), 1);
   EXPECT_EQ(network.stats().sent_of("c"), 0);
+}
+
+TEST(NetworkTest, PerTypeCountersSumPointersSpellingOneName) {
+  // Two distinct arrays, so two type pointers with the same spelling.
+  static const char kOne[] = "same";
+  static const char kTwo[] = "same";
+  ASSERT_NE(static_cast<const char*>(kOne), static_cast<const char*>(kTwo));
+  Fixture f;
+  Network network = f.make();
+  network.set_deliver_fn([](const Message&) {});
+  const MessageStats& stats = network.stats();
+  network.send(make_msg(0, 1, kOne));
+  network.send(make_msg(0, 1, kTwo));
+  network.send(make_msg(0, 1, kOne));
+  EXPECT_EQ(stats.sent_of("same"), 3) << "a held reference sees live counts";
+  EXPECT_EQ(stats.sent_by_type.size(), 1u);
+}
+
+TEST(NetworkTest, PreGstDuplicateIsDeliveredTwiceInOrder) {
+  Fixture f;
+  f.config.gst = RealTime::max();
+  f.config.pre_gst_loss_probability = 0.0;
+  f.config.pre_gst_duplicate_probability = 1.0;
+  Network network = f.make();
+  std::vector<std::pair<RealTime, Message>> delivered;
+  network.set_deliver_fn(
+      [&](const Message& m) { delivered.emplace_back(f.queue.now(), m); });
+  network.send(make_msg(0, 1, Seq::kType, 7));
+  while (f.queue.step()) {
+  }
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[1].first - delivered[0].first, f.config.delta_min)
+      << "the duplicate arrives delta_min after the original";
+  for (const auto& [at, m] : delivered) {
+    ASSERT_NE(m.get<Seq>(), nullptr);
+    EXPECT_EQ(m.get<Seq>()->n, 7);
+  }
+  EXPECT_EQ(delivered[0].second.payload, delivered[1].second.payload)
+      << "the copies share one payload";
+  EXPECT_EQ(network.stats().sent, 1);
+  EXPECT_EQ(network.stats().delivered, 2);
+}
+
+TEST(NetworkTest, GetOfAnotherTypeIsNull) {
+  const Message m = make_msg(0, 1, Seq::kType, 3);
+  ASSERT_NE(m.get<Seq>(), nullptr);
+  EXPECT_EQ(m.get<Seq>()->n, 3);
+  EXPECT_EQ(m.get<Other>(), nullptr);
+  EXPECT_EQ(Message{}.get<Seq>(), nullptr) << "an empty envelope holds no T";
 }
 
 TEST(NetworkTest, ExtraLinkDelayAppliesOnce) {

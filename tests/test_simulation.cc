@@ -70,6 +70,34 @@ TEST(SimulationTest, SendAndBroadcastDeliver) {
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(0)).events.size(), 1u);
 }
 
+// Records the payload object each delivery carries.
+class PayloadProbe : public Process {
+ public:
+  std::vector<const void*> payloads;
+  std::vector<int> rounds;
+  void on_message(const Message& message) override {
+    EXPECT_EQ(message.get<Hello>(), nullptr);
+    payloads.push_back(message.payload.get());
+    if (const auto* r = message.get<Round>()) rounds.push_back(r->round);
+  }
+};
+
+TEST(SimulationTest, BroadcastHandsEveryRecipientOnePayload) {
+  Simulation sim(quick_config());
+  for (int i = 0; i < 4; ++i) sim.add_process(std::make_unique<PayloadProbe>());
+  sim.start();
+  sim.process(ProcessId(0)).broadcast(Round{7});
+  sim.run_until(RealTime::zero() + Duration::millis(10));
+  const void* shared = sim.process_as<PayloadProbe>(ProcessId(1)).payloads.at(0);
+  ASSERT_NE(shared, nullptr);
+  for (int i = 1; i < 4; ++i) {
+    const auto& probe = sim.process_as<PayloadProbe>(ProcessId(i));
+    EXPECT_EQ(probe.payloads, (std::vector<const void*>{shared}));
+    EXPECT_EQ(probe.rounds, (std::vector<int>{7}));
+  }
+  EXPECT_TRUE(sim.process_as<PayloadProbe>(ProcessId(0)).payloads.empty());
+}
+
 TEST(SimulationTest, CrashedProcessesReceiveNothingAndSendNothing) {
   Simulation sim(quick_config());
   for (int i = 0; i < 2; ++i) sim.add_process(std::make_unique<Probe>());

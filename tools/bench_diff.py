@@ -11,12 +11,26 @@ Usage:
       present in both directories (matched by file name). Purely
       informational: exit code reflects schema validity only.
 
+  bench_diff.py check OLD_DIR NEW_DIR
+      The drift gate. Validates both sides, then exits 1 if any
+      deterministic value differs: every field of every artifact (metrics,
+      table rows, configs, counters, histograms, latencies) is a function of
+      the seed, so any change is a behaviour change. Skipped, because they
+      measure the host: BENCH_micro.json, and fields named like
+      google-benchmark's wall-clock output (WALL_CLOCK_FIELD). An artifact
+      present on one side only also fails.
+
+  bench_diff.py --selftest
+      Runs `check` on the fixtures in bench_diff_fixtures/: a simulated-time
+      drift must fail, a wall-clock drift must pass.
+
 No third-party dependencies; the artifact format is plain JSON written by
 src/metrics/json.cc (see docs/OBSERVABILITY.md for the field-by-field spec).
 """
 
 import json
 import pathlib
+import re
 import sys
 
 SCHEMA = "cht.bench.v1"
@@ -39,6 +53,13 @@ HISTOGRAM_KEYS = {"count", "sum", "min", "max", "mean", "p50", "p99", "buckets"}
 MESSAGE_KEYS = {"sent", "delivered", "dropped", "by_type"}
 CONFIG_KEYS = {"label", "n", "seed", "delta_us", "epsilon_us", "gst_us",
                "pre_gst_loss", "overrides"}
+
+
+# Artifacts and fields that time the host rather than the simulation.
+WALL_CLOCK_ARTIFACTS = {"BENCH_micro.json"}
+WALL_CLOCK_FIELD = re.compile(r"(^cpus|_time_ns|items_per_second)$")
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "bench_diff_fixtures"
 
 
 class Violation(Exception):
@@ -186,11 +207,72 @@ def cmd_diff(old_dir, new_dir):
     return rc
 
 
+def deterministic_fields(value, path="", out=None):
+    """Every leaf of an artifact as {path: value}, minus wall-clock fields."""
+    out = {} if out is None else out
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if not WALL_CLOCK_FIELD.search(key):
+                deterministic_fields(child, f"{path}.{key}" if path else key,
+                                     out)
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            deterministic_fields(child, f"{path}[{i}]", out)
+    else:
+        out[path] = value
+    return out
+
+
+def cmd_check(old_dir, new_dir):
+    old_dir, new_dir = pathlib.Path(old_dir), pathlib.Path(new_dir)
+    old_files = {p.name: p for p in sorted(old_dir.glob("*.json"))}
+    new_files = {p.name: p for p in sorted(new_dir.glob("*.json"))}
+    rc = cmd_validate(list(old_files.values()) + list(new_files.values()))
+    for name in sorted(old_files.keys() ^ new_files.keys()):
+        side = "baseline" if name in old_files else "new run"
+        print(f"DRIFT    {name}: only in the {side}")
+        rc = 1
+    for name in sorted(old_files.keys() & new_files.keys()):
+        if name in WALL_CLOCK_ARTIFACTS:
+            print(f"skipped  {name} (wall clock)")
+            continue
+        old = deterministic_fields(load(old_files[name]))
+        new = deterministic_fields(load(new_files[name]))
+        drifted = [k for k in sorted(old.keys() | new.keys())
+                   if old.get(k) != new.get(k)]
+        if not drifted:
+            print(f"same     {name}")
+            continue
+        rc = 1
+        print(f"DRIFT    {name}: {len(drifted)} field(s)")
+        for key in drifted[:20]:
+            print(f"    {key}: {old.get(key, '<absent>')} -> "
+                  f"{new.get(key, '<absent>')}")
+    return rc
+
+
+def cmd_selftest():
+    failures = 0
+    for fixture, want in (("baseline", 0), ("sim-drift", 1),
+                          ("wall-drift", 0)):
+        print(f"-- check baseline {fixture} (want exit {want})")
+        got = cmd_check(FIXTURES / "baseline", FIXTURES / fixture)
+        if got != want:
+            print(f"SELFTEST FAILED: {fixture} exited {got}, want {want}")
+            failures += 1
+    print("selftest ok" if failures == 0 else "selftest FAILED")
+    return 1 if failures else 0
+
+
 def main(argv):
     if len(argv) >= 3 and argv[1] == "validate":
         return cmd_validate(argv[2:])
     if len(argv) == 4 and argv[1] == "diff":
         return cmd_diff(argv[2], argv[3])
+    if len(argv) == 4 and argv[1] == "check":
+        return cmd_check(argv[2], argv[3])
+    if len(argv) == 2 and argv[1] == "--selftest":
+        return cmd_selftest()
     print(__doc__, file=sys.stderr)
     return 2
 
