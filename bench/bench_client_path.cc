@@ -10,14 +10,11 @@
 //     not client luck — delivers every acked RMW exactly once; retries-per-op
 //     and redirect counts quantify what the faults cost the request path.
 //
-// Runs each protocol stack under the chaos harness with the client path on,
-// capturing the merged client/gateway registries at adapter teardown (the
-// last point the processes exist inside run_one).
-#include <memory>
+// Runs each protocol stack under the chaos harness with the client path on
+// and reads the merged client/gateway registries from each run's telemetry.
 #include <string>
 #include <vector>
 
-#include "chaos/adapter.h"
 #include "chaos/spec.h"
 #include "chaos/sweep.h"
 #include "common/bench_util.h"
@@ -27,30 +24,9 @@
 namespace cht::bench {
 namespace {
 
-// Same teardown-capture decorator idiom as chtread_fuzz's CapturingAdapter:
-// run_one owns and destroys the adapter, so the destructor is the last
-// chance to merge the per-process registries.
-struct Cell {
-  chaos::RunResult result;
-  metrics::Registry merged;
-  sim::MessageStats messages;
-};
-
-class ClientPathProbe final : public chaos::ForwardingAdapter {
- public:
-  ClientPathProbe(std::unique_ptr<chaos::ClusterAdapter> inner, Cell& out)
-      : ForwardingAdapter(std::move(inner)), out_(out) {}
-  ~ClientPathProbe() override {
-    inner().merge_metrics_into(out_.merged);
-    out_.messages = inner().sim().network().stats();
-  }
-
- private:
-  Cell& out_;
-};
-
-void run_cell(const std::string& protocol, const std::string& profile,
-              int ops, std::uint64_t seed, Cell& cell) {
+chaos::RunResult run_cell(const std::string& protocol,
+                          const std::string& profile, int ops,
+                          std::uint64_t seed) {
   chaos::RunSpec spec;
   spec.protocol = protocol;
   spec.profile = profile;
@@ -58,11 +34,7 @@ void run_cell(const std::string& protocol, const std::string& profile,
   spec.seed = seed;
   spec.ops = ops;
   spec.client_path = true;
-
-  cell.result = chaos::run_one(
-      spec, [&cell](std::unique_ptr<chaos::ClusterAdapter> inner) {
-        return std::make_unique<ClientPathProbe>(std::move(inner), cell);
-      });
+  return chaos::run_one(spec);
 }
 
 std::int64_t hist_percentile(const metrics::Registry& r,
@@ -109,13 +81,12 @@ int main(int argc, char** argv) {
   bool all_clean = true;
   for (const auto& protocol : chaos::known_protocols()) {
     for (const auto& profile : profiles) {
-      Cell cell;
-      run_cell(protocol, profile, ops, /*seed=*/profile == "calm" ? 301 : 302,
-               cell);
-      const metrics::Registry& m = cell.merged;
+      const chaos::RunResult cell = run_cell(
+          protocol, profile, ops, /*seed=*/profile == "calm" ? 301 : 302);
+      const metrics::Registry& m = *cell.telemetry.registry;
       const std::int64_t client_ops =
           m.value("client.rmws") + m.value("client.reads");
-      const bool clean = cell.result.ok();
+      const bool clean = cell.ok();
       all_clean = all_clean && clean;
 
       result.row(
@@ -147,10 +118,10 @@ int main(int argc, char** argv) {
       result.metric("gateway_dup_replies" + suffix,
                     m.value("gateway.dup_replies"));
       if (profile == "calm") {
-        result.observe_registry(protocol, m, cell.messages);
+        result.observe_registry(protocol, m, cell.telemetry.messages);
       }
       if (!clean) {
-        for (const auto& v : cell.result.violations) {
+        for (const auto& v : cell.violations) {
           result.note("VIOLATION [" + protocol + "/" + profile + "]: " + v);
         }
       }

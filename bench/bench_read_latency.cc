@@ -57,7 +57,8 @@ metrics::LatencyRecorder run(ExperimentResult& result, const std::string& label,
   drive(cluster, rng, result.scaled(400, 10));
   result.config(label, cluster);
   result.observe(label, cluster);
-  const auto reads = split_latencies(cluster.model(), cluster.history()).reads;
+  const auto reads =
+      checker::split_latencies(cluster.model(), cluster.history()).reads;
   result.latency(label, reads);
   return reads;
 }

@@ -12,8 +12,8 @@
 namespace cht::bench {
 
 // Experiment headers/tables/artifacts are declared through ExperimentResult
-// (common/experiment.h); this header keeps only the small formatting and
-// history helpers.
+// (common/experiment.h); this header keeps only the small formatting
+// helpers.
 
 inline std::string us(Duration d) {
   return metrics::Table::num(static_cast<std::int64_t>(d.to_micros()));
@@ -21,26 +21,6 @@ inline std::string us(Duration d) {
 
 inline std::string ms2(Duration d) {
   return metrics::Table::num(d.to_millis_f(), 2);
-}
-
-// Latency of completed ops recorded in a history, split by read/RMW.
-struct SplitLatencies {
-  metrics::LatencyRecorder reads;
-  metrics::LatencyRecorder rmws;
-};
-
-inline SplitLatencies split_latencies(const object::ObjectModel& model,
-                                      const checker::HistoryRecorder& history) {
-  SplitLatencies out;
-  for (const auto& op : history.ops()) {
-    if (!op.completed()) continue;
-    if (model.is_read(op.op)) {
-      out.reads.record(op.latency());
-    } else {
-      out.rmws.record(op.latency());
-    }
-  }
-  return out;
 }
 
 }  // namespace cht::bench

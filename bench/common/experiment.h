@@ -208,8 +208,11 @@ class ExperimentResult {
   }
 
   // --- Latency percentiles from a recorder ---------------------------------
+  // An empty recorder has no percentiles, and the schema requires every key
+  // of an entry, so it adds no entry at all.
   void latency(const std::string& label,
                const metrics::LatencyRecorder& recorder) {
+    if (recorder.empty()) return;
     auto value = metrics::json::Value::object();
     value.set("label", label);
     value.set("count", static_cast<std::int64_t>(recorder.count()));

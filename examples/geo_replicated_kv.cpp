@@ -8,7 +8,9 @@
 // printout contrasts read latency and message traffic.
 #include <iostream>
 #include <memory>
+#include <utility>
 
+#include "checker/history.h"
 #include "harness/stack_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
@@ -51,17 +53,9 @@ RunResult run(core::ReadPolicy policy) {
   }
   cluster.await_quiesce(Duration::seconds(120));
 
-  RunResult result;
-  result.messages = cluster.sim().network().stats().sent - msgs_before;
-  for (const auto& op : cluster.history().ops()) {
-    if (!op.completed()) continue;
-    if (cluster.model().is_read(op.op)) {
-      result.read_latency.record(op.latency());
-    } else {
-      result.write_latency.record(op.latency());
-    }
-  }
-  return result;
+  auto latencies = checker::split_latencies(cluster.model(), cluster.history());
+  return {std::move(latencies.reads), std::move(latencies.rmws),
+          cluster.sim().network().stats().sent - msgs_before};
 }
 
 }  // namespace

@@ -126,9 +126,11 @@ class ClusterAdapter {
 };
 
 // Decorator base for adapter wrappers: owns an inner adapter and forwards
-// every virtual. Derive and override only what you need (fault injection in
-// chaos/evil.h, metrics capture in tests and benches) — new ClusterAdapter
-// virtuals then flow through existing decorators automatically.
+// every virtual. Derive and override only what you need to interpose on a
+// run (fault injection in chaos/evil.h, synthetic violations in tests) —
+// new ClusterAdapter virtuals then flow through existing decorators
+// automatically. To observe a run, read its RunResult::telemetry
+// (chaos/sweep.h).
 class ForwardingAdapter : public ClusterAdapter {
  public:
   explicit ForwardingAdapter(std::unique_ptr<ClusterAdapter> inner)

@@ -7,10 +7,12 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "chaos/invariants.h"
 #include "chaos/nemesis.h"
 #include "chaos/workload.h"
+#include "common/parse.h"
 #include "sim/trace.h"
 
 namespace cht::chaos {
@@ -34,28 +36,6 @@ std::uint64_t fnv1a(std::uint64_t hash, const std::string& s) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
-}
-
-std::string fingerprint_of(const ClusterAdapter& cluster_const,
-                           sim::Simulation& sim,
-                           const std::vector<std::string>& violations) {
-  auto& cluster = const_cast<ClusterAdapter&>(cluster_const);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const auto& op : cluster.history().ops()) {
-    std::ostringstream os;
-    os << op.process << '|' << op.op << '|' << op.invoked.to_micros() << '|';
-    if (op.completed()) {
-      os << op.responded->to_micros() << '|' << *op.response;
-    } else {
-      os << "pending";
-    }
-    hash = fnv1a(hash, os.str());
-  }
-  hash = fnv1a(hash, std::to_string(sim.now().to_micros()));
-  for (const auto& v : violations) hash = fnv1a(hash, v);
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return os.str();
 }
 
 std::string format_double(double v) {
@@ -176,20 +156,38 @@ RunResult run_one(const RunSpec& spec, const AdapterHook& hook) {
     if (!events[i].detail.empty()) os << " " << events[i].detail;
     result.trace_tail.push_back(os.str());
   }
+  // One pass over the history builds each op's artifact line and its
+  // fingerprint key; the hash then covers the final clock and violations.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const auto& op : cluster.history().ops()) {
-    std::ostringstream os;
-    os << op.process << " " << op.op << " @" << op.invoked.to_millis_f()
-       << "ms";
-    if (op.completed()) {
-      os << " -> \"" << *op.response << "\" @" << op.responded->to_millis_f()
+    std::ostringstream line;
+    std::ostringstream key;
+    line << op.process << " " << op.op << " @" << op.invoked.to_millis_f()
          << "ms";
+    key << op.process << '|' << op.op << '|' << op.invoked.to_micros() << '|';
+    if (op.completed()) {
+      line << " -> \"" << *op.response << "\" @"
+           << op.responded->to_millis_f() << "ms";
+      key << op.responded->to_micros() << '|' << *op.response;
     } else {
-      os << " -> <pending>";
+      line << " -> <pending>";
+      key << "pending";
     }
-    result.history.push_back(os.str());
+    result.history.push_back(line.str());
+    hash = fnv1a(hash, key.str());
   }
-  result.fingerprint =
-      fingerprint_of(cluster, cluster.sim(), result.violations);
+  hash = fnv1a(hash, std::to_string(cluster.sim().now().to_micros()));
+  for (const auto& v : result.violations) hash = fnv1a(hash, v);
+  std::ostringstream fingerprint;
+  fingerprint << std::hex << std::setw(16) << std::setfill('0') << hash;
+  result.fingerprint = fingerprint.str();
+
+  auto registry = std::make_shared<metrics::Registry>();
+  cluster.merge_metrics_into(*registry);
+  result.telemetry.registry = std::move(registry);
+  result.telemetry.messages = cluster.sim().network().stats();
+  result.telemetry.latencies =
+      checker::split_latencies(cluster.model(), cluster.history());
   return result;
 }
 
@@ -259,31 +257,41 @@ std::optional<Artifact> load_artifact(const std::string& path) {
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    // A value that does not parse makes the whole file unreadable, never a
+    // thrown exception or a silently defaulted field.
+    bool parsed = true;
+    const auto set = [&](auto& field) {
+      const auto number =
+          parse_number<std::remove_reference_t<decltype(field)>>(value);
+      if (number) field = *number;
+      parsed = number.has_value();
+    };
     RunSpec& s = artifact.spec;
     if (key == "protocol") { s.protocol = value; saw_protocol = true; }
     else if (key == "profile") s.profile = value;
     else if (key == "object") s.object = value;
-    else if (key == "seed") s.seed = std::stoull(value);
-    else if (key == "n") s.n = std::stoi(value);
-    else if (key == "delta_ms") s.delta_ms = std::stoll(value);
-    else if (key == "epsilon_ms") s.epsilon_ms = std::stoll(value);
-    else if (key == "gst_ms") s.gst_ms = std::stoll(value);
-    else if (key == "pre_gst_loss") s.pre_gst_loss = std::stod(value);
-    else if (key == "sync_latency_us") s.sync_latency_us = std::stoll(value);
-    else if (key == "unsynced_key_loss") s.unsynced_key_loss = std::stod(value);
-    else if (key == "group_commit") s.group_commit = std::stoi(value) != 0;
-    else if (key == "client_path") s.client_path = std::stoi(value) != 0;
-    else if (key == "clock_guard") s.clock_guard = std::stoi(value) != 0;
-    else if (key == "ops") s.ops = std::stoi(value);
-    else if (key == "read_fraction") s.read_fraction = std::stod(value);
-    else if (key == "key_skew") s.key_skew = std::stod(value);
-    else if (key == "keys") s.keys = std::stoi(value);
-    else if (key == "op_gap_min_ms") s.op_gap_min_ms = std::stoll(value);
-    else if (key == "op_gap_max_ms") s.op_gap_max_ms = std::stoll(value);
-    else if (key == "max_inflight") s.max_inflight = std::stoi(value);
-    else if (key == "check_budget") s.check_budget = std::stoll(value);
-    else if (key == "quiesce_timeout_s") s.quiesce_timeout_s = std::stoll(value);
+    else if (key == "seed") set(s.seed);
+    else if (key == "n") set(s.n);
+    else if (key == "delta_ms") set(s.delta_ms);
+    else if (key == "epsilon_ms") set(s.epsilon_ms);
+    else if (key == "gst_ms") set(s.gst_ms);
+    else if (key == "pre_gst_loss") set(s.pre_gst_loss);
+    else if (key == "sync_latency_us") set(s.sync_latency_us);
+    else if (key == "unsynced_key_loss") set(s.unsynced_key_loss);
+    else if (key == "group_commit") set(s.group_commit);
+    else if (key == "client_path") set(s.client_path);
+    else if (key == "clock_guard") set(s.clock_guard);
+    else if (key == "ops") set(s.ops);
+    else if (key == "read_fraction") set(s.read_fraction);
+    else if (key == "key_skew") set(s.key_skew);
+    else if (key == "keys") set(s.keys);
+    else if (key == "op_gap_min_ms") set(s.op_gap_min_ms);
+    else if (key == "op_gap_max_ms") set(s.op_gap_max_ms);
+    else if (key == "max_inflight") set(s.max_inflight);
+    else if (key == "check_budget") set(s.check_budget);
+    else if (key == "quiesce_timeout_s") set(s.quiesce_timeout_s);
     else if (key == "fingerprint") artifact.fingerprint = value;
+    if (!parsed) return std::nullopt;
   }
   // A file that never named a protocol or fingerprint is not an artifact;
   // replaying the default spec against an empty fingerprint would "fail"

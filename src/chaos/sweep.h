@@ -5,7 +5,8 @@
 // Nemesis, drive the workload, heal, quiesce, and evaluate the invariant
 // registry. The result carries a fingerprint (a hash of the complete
 // operation history and final simulated time); equal spec => equal
-// fingerprint, which is what `chtread_fuzz --repro` verifies.
+// fingerprint, which is what `chtread_fuzz --repro` verifies. It also
+// carries the run's telemetry (merged metrics, message counts, latencies).
 //
 // sweep_seeds() fans N specs (same base, consecutive seeds) across worker
 // threads. Each seed is an independent simulation with zero shared state, so
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,8 +31,24 @@
 #include "chaos/adapter.h"
 #include "chaos/nemesis.h"
 #include "chaos/spec.h"
+#include "checker/history.h"
+#include "metrics/registry.h"
+#include "sim/network.h"
 
 namespace cht::chaos {
+
+// What a run measured about itself. run_one fills it as its very last step,
+// after the invariant check, so every value is the cluster's final state.
+struct RunTelemetry {
+  // Every process's registry merged into one
+  // (ClusterAdapter::merge_metrics_into). Shared and immutable because a
+  // Registry can be neither copied nor moved; never null after run_one.
+  std::shared_ptr<const metrics::Registry> registry;
+  // The network's send/delivery/drop counts, per message type too.
+  sim::MessageStats messages;
+  // Completed operations' latencies, reads and RMWs apart.
+  checker::SplitLatencies latencies;
+};
 
 struct RunResult {
   RunSpec spec;
@@ -64,6 +82,7 @@ struct RunResult {
   std::vector<std::string> trace_tail;
   // The complete recorded history, one formatted line per operation.
   std::vector<std::string> history;
+  RunTelemetry telemetry;
 
   bool ok() const { return violations.empty(); }
 };

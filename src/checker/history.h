@@ -13,6 +13,7 @@
 
 #include "common/time.h"
 #include "common/types.h"
+#include "metrics/stats.h"
 #include "object/object.h"
 
 namespace cht::checker {
@@ -69,5 +70,23 @@ class HistoryRecorder {
  private:
   std::vector<HistoryOp> ops_;
 };
+
+// Latencies of a history's completed operations, split into reads and RMWs
+// by `model`. The one read/RMW split every report uses: chaos runs
+// (RunResult::telemetry), chtread_sim and the benches.
+struct SplitLatencies {
+  metrics::LatencyRecorder reads;
+  metrics::LatencyRecorder rmws;
+};
+
+inline SplitLatencies split_latencies(const object::ObjectModel& model,
+                                      const HistoryRecorder& history) {
+  SplitLatencies out;
+  for (const auto& op : history.ops()) {
+    if (!op.completed()) continue;
+    (model.is_read(op.op) ? out.reads : out.rmws).record(op.latency());
+  }
+  return out;
+}
 
 }  // namespace cht::checker

@@ -60,6 +60,7 @@ struct MessageStats {
     auto it = sent_by_type.find(type);
     return it == sent_by_type.end() ? 0 : it->second;
   }
+  bool operator==(const MessageStats&) const = default;
 };
 
 class Network {

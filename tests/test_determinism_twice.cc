@@ -2,9 +2,10 @@
 // spec run twice in one process yields byte-identical results on every
 // protocol stack — same fingerprint, same history, same nemesis schedule,
 // same trace, byte-identical repro-artifact files, byte-identical metrics
-// JSON. Any wall-clock read, unseeded randomness, hash-order-dependent
-// decision, uninitialized message field, or cross-run shared state would
-// show up here as a diff between the two runs.
+// JSON and equal message counts (both from RunResult::telemetry). Any
+// wall-clock read, unseeded randomness, hash-order-dependent decision,
+// uninitialized message field, or cross-run shared state would show up here
+// as a diff between the two runs.
 //
 // Compile-time half of the audit: including core/wire_audit.h applies the
 // static_assert battery over the fixed-size wire structs (trivially
@@ -15,11 +16,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 
-#include "chaos/adapter.h"
 #include "chaos/spec.h"
 #include "chaos/sweep.h"
 #include "core/wire_audit.h"
@@ -29,21 +28,6 @@
 namespace cht {
 namespace {
 
-// Pure observer: captures the merged per-replica metric registries at
-// adapter teardown (the last point the replicas exist inside run_one).
-// Every protocol-visible call forwards unchanged, so a captured run's
-// fingerprint is identical to an undecorated one.
-class MetricsProbe final : public chaos::ForwardingAdapter {
- public:
-  MetricsProbe(std::unique_ptr<chaos::ClusterAdapter> inner,
-               metrics::Registry& out)
-      : ForwardingAdapter(std::move(inner)), out_(out) {}
-  ~MetricsProbe() override { inner().merge_metrics_into(out_); }
-
- private:
-  metrics::Registry& out_;
-};
-
 struct CapturedRun {
   chaos::RunResult result;
   std::string metrics_json;
@@ -52,12 +36,9 @@ struct CapturedRun {
 
 CapturedRun run_captured(const chaos::RunSpec& spec) {
   CapturedRun captured;
-  metrics::Registry merged;
-  captured.result = chaos::run_one(
-      spec, [&merged](std::unique_ptr<chaos::ClusterAdapter> inner) {
-        return std::make_unique<MetricsProbe>(std::move(inner), merged);
-      });
-  captured.metrics_json = metrics::registry_to_json(merged).dump();
+  captured.result = chaos::run_one(spec);
+  captured.metrics_json =
+      metrics::registry_to_json(*captured.result.telemetry.registry).dump();
 
   // Both runs write to the SAME path: the artifact embeds its own path in
   // the "# replay:" header, so distinct filenames would differ trivially.
@@ -172,8 +153,11 @@ TEST_P(DeterminismTwiceTest, SecondRunIsByteIdentical) {
       << "repro artifact not byte-identical across same-spec runs";
   EXPECT_EQ(first.metrics_json, second.metrics_json)
       << "merged metrics registry not byte-identical across same-spec runs";
+  EXPECT_EQ(first.result.telemetry.messages, second.result.telemetry.messages)
+      << "message counts differ across same-spec runs";
   // Sanity: the runs did something worth comparing.
   EXPECT_GT(first.result.completed, 0u);
+  EXPECT_GT(first.result.telemetry.messages.sent, 0);
   EXPECT_FALSE(first.artifact_bytes.empty());
 }
 
@@ -207,6 +191,8 @@ TEST_P(DeterminismTwiceTest, RestartHeavyRunIsByteIdentical) {
       << "power-cycle repro artifact not byte-identical";
   EXPECT_EQ(first.metrics_json, second.metrics_json)
       << "power-cycle metrics not byte-identical";
+  EXPECT_EQ(first.result.telemetry.messages, second.result.telemetry.messages)
+      << "power-cycle message counts differ";
   EXPECT_GT(first.result.completed, 0u);
   // The profile is only doing its job if processes actually went down and
   // came back (the end-of-run revival alone requires a prior bounce).
@@ -243,6 +229,8 @@ TEST_P(DeterminismTwiceTest, CrashLoopRunIsByteIdentical) {
       << "crash-loop repro artifact not byte-identical";
   EXPECT_EQ(first.metrics_json, second.metrics_json)
       << "crash-loop metrics not byte-identical";
+  EXPECT_EQ(first.result.telemetry.messages, second.result.telemetry.messages)
+      << "crash-loop message counts differ";
   EXPECT_GT(first.result.completed, 0u);
   // The profile only earns its keep if the loop actually cycled: more
   // crashes than distinct victims requires at least one re-crash.
@@ -280,6 +268,8 @@ TEST_P(DeterminismTwiceTest, ClockStormGuardOnRunIsByteIdentical) {
       << "clock-storm repro artifact not byte-identical";
   EXPECT_EQ(first.metrics_json, second.metrics_json)
       << "clock-storm metrics not byte-identical";
+  EXPECT_EQ(first.result.telemetry.messages, second.result.telemetry.messages)
+      << "clock-storm message counts differ";
   EXPECT_GT(first.result.completed, 0u);
   // The profile only earns its keep if clocks were actually skewed.
   EXPECT_FALSE(first.result.skew_events.empty());
@@ -314,6 +304,8 @@ TEST_P(DeterminismTwiceTest, LegacyDirectSubmitRunIsByteIdentical) {
       << "legacy-path repro artifact not byte-identical";
   EXPECT_EQ(first.metrics_json, second.metrics_json)
       << "legacy-path metrics not byte-identical";
+  EXPECT_EQ(first.result.telemetry.messages, second.result.telemetry.messages)
+      << "legacy-path message counts differ";
   EXPECT_GT(first.result.completed, 0u);
 }
 

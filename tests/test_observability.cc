@@ -105,6 +105,29 @@ TEST(ObservabilityTest, ArtifactMatchesGoldenSchema) {
   std::remove(artifact_path.c_str());
 }
 
+// A recorder with no samples has no percentiles (asking for one asserts)
+// and the schema requires every key of a latency entry, so latency() adds
+// no entry for it; a write-only run still writes a valid artifact.
+TEST(ObservabilityTest, EmptyLatencyRecorderAddsNoEntry) {
+  const std::string path = "cht_observability_empty_latency.json";
+  bench::ExperimentResult result("empty_latency", path, /*smoke=*/true);
+  metrics::LatencyRecorder reads;
+  metrics::LatencyRecorder rmws;
+  rmws.record(Duration::micros(250));
+  result.latency("reads", reads);
+  result.latency("rmws", rmws);
+  ASSERT_EQ(result.finish(), 0);
+
+  const std::string artifact = read_file(path);
+  std::remove(path.c_str());
+  const auto latencies = artifact.find("\"latencies\"");
+  ASSERT_NE(latencies, std::string::npos);
+  EXPECT_EQ(artifact.find("\"label\": \"reads\""), std::string::npos);
+  EXPECT_NE(artifact.find("\"label\": \"rmws\"", latencies),
+            std::string::npos);
+  EXPECT_NE(artifact.find("\"p99_us\": 250", latencies), std::string::npos);
+}
+
 TEST(ObservabilityTest, SteadyRunPopulatesProtocolPhaseSpans) {
   harness::CommonConfig config;
   config.n = 5;

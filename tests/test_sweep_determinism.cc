@@ -16,13 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chaos/adapter.h"
 #include "chaos/spec.h"
 #include "chaos/sweep.h"
+#include "metrics/json.h"
 
 namespace cht {
 namespace {
@@ -69,6 +72,10 @@ chaos::SweepResult sweep_with(const chaos::RunSpec& base, int threads,
   return chaos::sweep_seeds(base, /*first_seed=*/100, /*count=*/6, options);
 }
 
+std::string registry_json(const chaos::RunResult& result) {
+  return metrics::registry_to_json(*result.telemetry.registry).dump();
+}
+
 std::string basename_of(const std::string& path) {
   const auto pos = path.find_last_of('/');
   return pos == std::string::npos ? path : path.substr(pos + 1);
@@ -106,6 +113,9 @@ TEST(SweepDeterminismTest, ThreadCountDoesNotChangeOutcomes) {
     EXPECT_EQ(a.violations, b.violations) << "seed " << a.spec.seed;
     EXPECT_EQ(a.completed, b.completed) << "seed " << a.spec.seed;
     EXPECT_EQ(a.history, b.history) << "seed " << a.spec.seed;
+    EXPECT_EQ(registry_json(a), registry_json(b)) << "seed " << a.spec.seed;
+    EXPECT_EQ(a.telemetry.messages, b.telemetry.messages)
+        << "seed " << a.spec.seed;
   }
 
   // Artifact lists must match in order and (seed-derived) name, not merely
@@ -147,7 +157,45 @@ TEST(SweepDeterminismTest, SweepMatchesSerialRunOne) {
     EXPECT_EQ(result.fingerprint, solo.fingerprint)
         << "seed " << spec.seed << " differs between sweep and run_one";
     EXPECT_EQ(result.violations, solo.violations) << "seed " << spec.seed;
+    // A sweep result's telemetry is the standalone run's, so a tool may
+    // report any seed's metrics from its sweep instead of re-running it.
+    EXPECT_EQ(registry_json(result), registry_json(solo))
+        << "seed " << spec.seed;
+    EXPECT_EQ(result.telemetry.messages, solo.telemetry.messages)
+        << "seed " << spec.seed;
+    EXPECT_EQ(result.telemetry.latencies.reads.samples(),
+              solo.telemetry.latencies.reads.samples())
+        << "seed " << spec.seed;
+    EXPECT_EQ(result.telemetry.latencies.rmws.samples(),
+              solo.telemetry.latencies.rmws.samples())
+        << "seed " << spec.seed;
   }
+}
+
+// load_artifact's contract is "nullopt on parse failure": a garbled number
+// must make the file unreadable (chtread_fuzz --repro then exits 2), not
+// throw out of the parser.
+TEST(SweepDeterminismTest, GarbledArtifactDoesNotLoad) {
+  const std::string path = ::testing::TempDir() + "sweep_det_artifact.txt";
+  const std::string corrupt = ::testing::TempDir() + "sweep_det_garbled.txt";
+  ASSERT_TRUE(chaos::write_artifact(path, chaos::run_one(base_spec())));
+  ASSERT_TRUE(chaos::load_artifact(path).has_value());
+
+  for (const std::string garbled :
+       {"seed=x", "seed=-1", "n=5x", "pre_gst_loss=abc", "client_path=",
+        "ops=99999999999"}) {
+    const std::string key = garbled.substr(0, garbled.find('=') + 1);
+    std::ifstream in(path);
+    std::ostringstream out;
+    std::string line;
+    while (std::getline(in, line)) {
+      out << (line.rfind(key, 0) == 0 ? garbled : line) << "\n";
+    }
+    std::ofstream(corrupt) << out.str();
+    EXPECT_FALSE(chaos::load_artifact(corrupt).has_value()) << garbled;
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(corrupt);
 }
 
 }  // namespace

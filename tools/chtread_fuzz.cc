@@ -23,22 +23,27 @@
 //
 // --metrics-out writes the sweep summary plus, per protocol, a full
 // observability capture (merged per-replica metric registries, span
-// histograms, message counts) from one representative re-run of the first
-// (profile, object) combination — schema cht.bench.v1, same as the benches.
+// histograms, message counts, read/RMW latencies): the RunResult telemetry
+// of the first seed of the first (profile, object) sweep — schema
+// cht.bench.v1, same as the benches.
 //
 // Exit status: 0 if every run passed (or a --repro replay reproduced its
 // recorded fingerprint); 1 if any run failed (or a replay diverged); 2 on a
-// usage error or an unreadable artifact; 3 if no run failed but some were
-// undecided (the checker's --check-budget ran out before a verdict).
+// usage error (unknown flag or name, malformed number, --seeds/--n/
+// --max-inflight/--delta-ms below 1, a negative --epsilon-ms, an
+// --artifact-dir that is not a directory) or an unreadable artifact; 3 if
+// no run failed but some were undecided (the checker's --check-budget ran
+// out before a verdict).
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "chaos/adapter.h"
-#include "chaos/nemesis.h"
 #include "chaos/spec.h"
 #include "chaos/sweep.h"
+#include "cli_flags.h"
 #include "common/experiment.h"
 #include "metrics/table.h"
 
@@ -60,98 +65,70 @@ struct Options {
   bool verbose = false;
 };
 
-bool parse_flag(const std::string& arg, const std::string& name,
-                std::string& out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
 Options parse(int argc, char** argv) {
+  using cli::parse_flag;
   Options options;
+  chaos::RunSpec& base = options.base;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::string value;
-    if (parse_flag(arg, "protocol", value)) {
-      options.protocol = value;
-    } else if (parse_flag(arg, "profile", value)) {
-      options.profile = value;
-    } else if (parse_flag(arg, "object", value)) {
-      options.object = value;
-    } else if (parse_flag(arg, "seeds", value)) {
-      options.seeds = std::stoi(value);
-    } else if (parse_flag(arg, "seed-start", value)) {
-      options.seed_start = std::stoull(value);
-    } else if (parse_flag(arg, "threads", value)) {
-      options.threads = std::stoi(value);
-    } else if (parse_flag(arg, "n", value)) {
-      options.base.n = std::stoi(value);
-    } else if (parse_flag(arg, "ops", value)) {
-      options.base.ops = std::stoi(value);
-    } else if (parse_flag(arg, "read-fraction", value)) {
-      options.base.read_fraction = std::stod(value);
-    } else if (parse_flag(arg, "key-skew", value)) {
-      options.base.key_skew = std::stod(value);
-    } else if (parse_flag(arg, "delta-ms", value)) {
-      options.base.delta_ms = std::stoll(value);
-    } else if (parse_flag(arg, "epsilon-ms", value)) {
-      options.base.epsilon_ms = std::stoll(value);
-    } else if (parse_flag(arg, "gst-ms", value)) {
-      options.base.gst_ms = std::stoll(value);
-    } else if (parse_flag(arg, "loss", value)) {
-      options.base.pre_gst_loss = std::stod(value);
-    } else if (parse_flag(arg, "sync-latency-us", value)) {
-      options.base.sync_latency_us = std::stoll(value);
-    } else if (parse_flag(arg, "key-loss", value)) {
-      options.base.unsynced_key_loss = std::stod(value);
-    } else if (parse_flag(arg, "group-commit", value)) {
-      options.base.group_commit = std::stoi(value) != 0;
-    } else if (parse_flag(arg, "client-path", value)) {
-      options.base.client_path = std::stoi(value) != 0;
-    } else if (parse_flag(arg, "clock-guard", value)) {
-      options.base.clock_guard = std::stoi(value) != 0;
-    } else if (parse_flag(arg, "max-inflight", value)) {
-      options.base.max_inflight = std::stoi(value);
-    } else if (parse_flag(arg, "check-budget", value)) {
-      options.base.check_budget = std::stoll(value);
-    } else if (parse_flag(arg, "artifact-dir", value)) {
-      options.artifact_dir = value;
-    } else if (parse_flag(arg, "repro", value)) {
-      options.repro = value;
-    } else if (parse_flag(arg, "metrics-out", value)) {
-      options.metrics_out = value;
-    } else if (arg == "--verbose") {
+    const bool known =
+        parse_flag(arg, "protocol", options.protocol) ||
+        parse_flag(arg, "profile", options.profile) ||
+        parse_flag(arg, "object", options.object) ||
+        parse_flag(arg, "seeds", options.seeds) ||
+        parse_flag(arg, "seed-start", options.seed_start) ||
+        parse_flag(arg, "threads", options.threads) ||
+        parse_flag(arg, "n", base.n) || parse_flag(arg, "ops", base.ops) ||
+        parse_flag(arg, "read-fraction", base.read_fraction) ||
+        parse_flag(arg, "key-skew", base.key_skew) ||
+        parse_flag(arg, "delta-ms", base.delta_ms) ||
+        parse_flag(arg, "epsilon-ms", base.epsilon_ms) ||
+        parse_flag(arg, "gst-ms", base.gst_ms) ||
+        parse_flag(arg, "loss", base.pre_gst_loss) ||
+        parse_flag(arg, "sync-latency-us", base.sync_latency_us) ||
+        parse_flag(arg, "key-loss", base.unsynced_key_loss) ||
+        parse_flag(arg, "group-commit", base.group_commit) ||
+        parse_flag(arg, "client-path", base.client_path) ||
+        parse_flag(arg, "clock-guard", base.clock_guard) ||
+        parse_flag(arg, "max-inflight", base.max_inflight) ||
+        parse_flag(arg, "check-budget", base.check_budget) ||
+        parse_flag(arg, "artifact-dir", options.artifact_dir) ||
+        parse_flag(arg, "repro", options.repro) ||
+        parse_flag(arg, "metrics-out", options.metrics_out);
+    if (known) continue;
+    if (arg == "--verbose") {
       options.verbose = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "see the usage comment at the top of tools/chtread_fuzz.cc\n";
       std::exit(0);
     } else {
-      std::cerr << "unknown flag: " << arg << "\n";
-      std::exit(2);
+      cli::usage_error("unknown flag: " + arg);
     }
   }
-  // Validate names up front so a typo gets a usage error, not an assert
-  // from deep inside adapter construction (and a vacuous --seeds=0 sweep
-  // cannot report "all runs passed").
+  // Validate names and sizes up front so a typo gets a usage error, not an
+  // assert or a hang deep inside a run (--n=0 trips Rng::next_below,
+  // --delta-ms=0 never finishes), and a vacuous --seeds=0 sweep cannot
+  // report "all runs passed".
   const auto check_name = [](const std::string& flag, const std::string& value,
-                             const std::vector<std::string>& known) {
-    if (value == "all") return;
-    for (const auto& k : known) {
-      if (value == k) return;
-    }
-    std::cerr << "unknown --" << flag << "=" << value << " (known:";
-    for (const auto& k : known) std::cerr << " " << k;
-    std::cerr << " all)\n";
-    std::exit(2);
+                             std::vector<std::string> known) {
+    known.push_back("all");
+    cli::require_one_of(flag, value, known);
   };
   if (options.repro.empty()) {
     check_name("protocol", options.protocol, chaos::known_protocols());
     check_name("profile", options.profile, chaos::known_profiles());
     check_name("object", options.object, chaos::known_objects());
-    if (options.seeds < 1) {
-      std::cerr << "--seeds must be >= 1 (got " << options.seeds << ")\n";
-      std::exit(2);
+    cli::require_at_least("seeds", options.seeds, 1);
+    cli::require_at_least("n", base.n, 1);
+    cli::require_at_least("max-inflight", base.max_inflight, 1);
+    cli::require_at_least("delta-ms", base.delta_ms, 1);
+    cli::require_at_least("epsilon-ms", base.epsilon_ms, 0);
+    // An empty --artifact-dir means "write none"; any other value must name
+    // a directory, or every failing seed would silently lose its artifact.
+    if (!options.artifact_dir.empty() &&
+        !std::filesystem::is_directory(options.artifact_dir)) {
+      cli::usage_error("--artifact-dir=" + options.artifact_dir +
+                       " is not a directory");
     }
   }
   return options;
@@ -185,36 +162,6 @@ std::vector<std::string> expand(const std::string& value,
   return {value};
 }
 
-// Captures observability out of a run_one() adapter at teardown: run_one
-// owns and destroys the adapter, so the destructor is the last point where
-// the replicas (and their metric registries) still exist. Pure observer —
-// every protocol-visible call forwards unchanged, so the decorated run's
-// fingerprint is identical to an undecorated one.
-class CapturingAdapter final : public chaos::ForwardingAdapter {
- public:
-  struct Capture {
-    metrics::Registry merged;
-    sim::MessageStats messages;
-    metrics::LatencyRecorder reads;
-    metrics::LatencyRecorder rmws;
-  };
-
-  CapturingAdapter(std::unique_ptr<chaos::ClusterAdapter> inner, Capture& out)
-      : ForwardingAdapter(std::move(inner)), out_(out) {}
-  ~CapturingAdapter() override {
-    inner().merge_metrics_into(out_.merged);
-    out_.messages = inner().sim().network().stats();
-    for (const auto& op : inner().history().ops()) {
-      if (!op.completed()) continue;
-      (inner().model().is_read(op.op) ? out_.reads : out_.rmws)
-          .record(op.latency());
-    }
-  }
-
- private:
-  Capture& out_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,6 +184,9 @@ int main(int argc, char** argv) {
   int total_failures = 0;
   int total_undecided = 0;
   std::vector<std::string> artifacts;
+  // Per protocol, the --metrics-out capture: the telemetry of the first
+  // seed of its first (profile, object) sweep.
+  std::vector<std::pair<std::string, chaos::RunTelemetry>> captures;
   for (const auto& protocol : protocols) {
     for (const auto& profile : profiles) {
       for (const auto& object : objects) {
@@ -276,6 +226,9 @@ int main(int argc, char** argv) {
         total_failures += sweep.failures();
         total_undecided += sweep.undecided();
         for (const auto& path : sweep.artifacts) artifacts.push_back(path);
+        if (profile == profiles.front() && object == objects.front()) {
+          captures.emplace_back(protocol, sweep.results.front().telemetry);
+        }
         for (const auto seed : sweep.failing_seeds()) {
           std::cout << "FAIL protocol=" << protocol << " profile=" << profile
                     << " object=" << object << " seed=" << seed << "\n";
@@ -306,21 +259,11 @@ int main(int argc, char** argv) {
   if (!options.metrics_out.empty()) {
     result.metric("total_failures", std::int64_t{total_failures});
     result.metric("total_undecided", std::int64_t{total_undecided});
-    // One representative re-run per protocol (first profile/object combo)
-    // to capture merged registries, span histograms and message counts.
-    for (const auto& protocol : protocols) {
-      chaos::RunSpec spec = options.base;
-      spec.protocol = protocol;
-      spec.profile = profiles.front();
-      spec.object = objects.front();
-      spec.seed = options.seed_start;
-      CapturingAdapter::Capture capture;
-      chaos::run_one(spec, [&](std::unique_ptr<chaos::ClusterAdapter> inner) {
-        return std::make_unique<CapturingAdapter>(std::move(inner), capture);
-      });
-      result.observe_registry(protocol, capture.merged, capture.messages);
-      result.latency(protocol + "-reads", capture.reads);
-      result.latency(protocol + "-rmws", capture.rmws);
+    for (const auto& [protocol, telemetry] : captures) {
+      result.observe_registry(protocol, *telemetry.registry,
+                              telemetry.messages);
+      result.latency(protocol + "-reads", telemetry.latencies.reads);
+      result.latency(protocol + "-rmws", telemetry.latencies.rmws);
     }
     const int finish_code = result.finish();
     if (exit_code == 0) exit_code = finish_code;

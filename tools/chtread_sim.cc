@@ -9,18 +9,25 @@
 // Usage:
 //   chtread_sim [--n=5] [--delta-ms=10] [--epsilon-ms=1] [--seed=1]
 //               [--protocol=core|raft|vr]
-//               [--reads=core-local|core-forward|core-anypending|
-//                raft-readindex|raft-lease]
+//               [--reads=core-local|core-forward|core-anypending (core)
+//                       |raft-readindex|raft-lease (raft); vr has none]
 //               [--workload=read-heavy|write-heavy|mixed]
 //               [--ops=500] [--gst-ms=0] [--loss=0.05]
 //               [--crash-leader-at-ms=N] [--check=on|off] [--trace=N]
 //               [--metrics-out=PATH.json]
-#include <cstring>
+//
+// --reads defaults to the protocol's first mode. Exit status: 0 if the
+// history is linearizable (or --check=off), 1 if not, 2 on a usage error
+// (unknown flag or name, a --reads of another protocol, a malformed number,
+// --n or --delta-ms below 1, a negative --epsilon-ms).
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "checker/history.h"
 #include "checker/linearizability.h"
+#include "cli_flags.h"
 #include "common/experiment.h"
 #include "common/rng.h"
 #include "harness/stack_cluster.h"
@@ -32,72 +39,72 @@ namespace {
 
 using namespace cht;  // NOLINT: tool brevity
 
+// The --reads values each --protocol accepts; the first is its default.
+// VR serves every read at the primary and has no read modes.
+std::vector<std::string> read_modes(const std::string& protocol) {
+  if (protocol == "core") {
+    return {"core-local", "core-forward", "core-anypending"};
+  }
+  if (protocol == "raft") return {"raft-readindex", "raft-lease"};
+  return {};
+}
+
 struct Options {
   int n = 5;
   std::int64_t delta_ms = 10;
   std::int64_t epsilon_ms = 1;
   std::uint64_t seed = 1;
   std::string protocol = "core";
-  std::string reads = "core-local";
+  std::string reads;  // empty = the protocol's default (see read_modes)
   std::string workload = "read-heavy";
   int ops = 500;
   std::int64_t gst_ms = 0;
   double loss = 0.05;
   std::int64_t crash_leader_at_ms = -1;
-  bool check = true;
+  std::string check = "on";
   int trace = 0;  // dump last N protocol trace events (0 = off)
   std::string metrics_out;  // artifact path; empty = no artifact
 };
 
-bool parse_flag(const std::string& arg, const std::string& name,
-                std::string& out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
 Options parse(int argc, char** argv) {
+  using cli::parse_flag;
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::string value;
-    if (parse_flag(arg, "n", value)) {
-      options.n = std::stoi(value);
-    } else if (parse_flag(arg, "delta-ms", value)) {
-      options.delta_ms = std::stoll(value);
-    } else if (parse_flag(arg, "epsilon-ms", value)) {
-      options.epsilon_ms = std::stoll(value);
-    } else if (parse_flag(arg, "seed", value)) {
-      options.seed = std::stoull(value);
-    } else if (parse_flag(arg, "protocol", value)) {
-      options.protocol = value;
-    } else if (parse_flag(arg, "reads", value)) {
-      options.reads = value;
-    } else if (parse_flag(arg, "workload", value)) {
-      options.workload = value;
-    } else if (parse_flag(arg, "ops", value)) {
-      options.ops = std::stoi(value);
-    } else if (parse_flag(arg, "gst-ms", value)) {
-      options.gst_ms = std::stoll(value);
-    } else if (parse_flag(arg, "loss", value)) {
-      options.loss = std::stod(value);
-    } else if (parse_flag(arg, "crash-leader-at-ms", value)) {
-      options.crash_leader_at_ms = std::stoll(value);
-    } else if (parse_flag(arg, "check", value)) {
-      options.check = value != "off";
-    } else if (parse_flag(arg, "trace", value)) {
-      options.trace = std::stoi(value);
-    } else if (parse_flag(arg, "metrics-out", value)) {
-      options.metrics_out = value;
-    } else if (arg == "--help" || arg == "-h") {
+    const bool matched =
+        parse_flag(arg, "n", options.n) ||
+        parse_flag(arg, "delta-ms", options.delta_ms) ||
+        parse_flag(arg, "epsilon-ms", options.epsilon_ms) ||
+        parse_flag(arg, "seed", options.seed) ||
+        parse_flag(arg, "protocol", options.protocol) ||
+        parse_flag(arg, "reads", options.reads) ||
+        parse_flag(arg, "workload", options.workload) ||
+        parse_flag(arg, "ops", options.ops) ||
+        parse_flag(arg, "gst-ms", options.gst_ms) ||
+        parse_flag(arg, "loss", options.loss) ||
+        parse_flag(arg, "crash-leader-at-ms", options.crash_leader_at_ms) ||
+        parse_flag(arg, "check", options.check) ||
+        parse_flag(arg, "trace", options.trace) ||
+        parse_flag(arg, "metrics-out", options.metrics_out);
+    if (matched) continue;
+    if (arg == "--help" || arg == "-h") {
       std::cout << "see the usage comment at the top of tools/chtread_sim.cc\n";
       std::exit(0);
-    } else {
-      std::cerr << "unknown flag: " << arg << "\n";
-      std::exit(2);
     }
+    cli::usage_error("unknown flag: " + arg);
   }
+  // Every name must be one the tool knows: a typo is a usage error, never a
+  // silent fallback to a default.
+  cli::require_one_of("protocol", options.protocol, {"core", "raft", "vr"});
+  cli::require_one_of("workload", options.workload,
+                      {"read-heavy", "write-heavy", "mixed"});
+  cli::require_one_of("check", options.check, {"on", "off"});
+  const std::vector<std::string> modes = read_modes(options.protocol);
+  if (options.reads.empty() && !modes.empty()) options.reads = modes.front();
+  if (!options.reads.empty()) cli::require_one_of("reads", options.reads, modes);
+  cli::require_at_least("n", options.n, 1);
+  cli::require_at_least("delta-ms", options.delta_ms, 1);
+  cli::require_at_least("epsilon-ms", options.epsilon_ms, 0);
   return options;
 }
 
@@ -163,15 +170,12 @@ int drive(harness::StackCluster<R>& cluster, const Options& options) {
     std::cout << "\n";
   }
 
-  metrics::LatencyRecorder read_lat, write_lat;
-  std::size_t pending = 0;
-  for (const auto& op : cluster.history().ops()) {
-    if (!op.completed()) {
-      ++pending;
-      continue;
-    }
-    (op.op.kind == "get" ? read_lat : write_lat).record(op.latency());
-  }
+  const auto latencies =
+      checker::split_latencies(cluster.model(), cluster.history());
+  const metrics::LatencyRecorder& read_lat = latencies.reads;
+  const metrics::LatencyRecorder& write_lat = latencies.rmws;
+  const std::size_t pending =
+      cluster.history().ops().size() - cluster.history().completed_count();
   cht::bench::ExperimentResult result("sim", options.metrics_out,
                                       /*smoke=*/false);
   result.begin("chtread_sim: protocol=" + options.protocol +
@@ -216,7 +220,7 @@ int drive(harness::StackCluster<R>& cluster, const Options& options) {
               << "submitting process crashed or no majority is connected)\n";
   }
   int exit_code = 0;
-  if (options.check) {
+  if (options.check == "on") {
     const auto check =
         checker::check_linearizable(cluster.model(), cluster.history().ops());
     std::cout << "linearizable: " << (check.linearizable ? "YES" : "NO");
@@ -238,10 +242,10 @@ int drive(harness::StackCluster<R>& cluster, const Options& options) {
 int main(int argc, char** argv) {
   const Options options = parse(argc, argv);
   auto model = std::make_shared<object::KVObject>();
-  std::cout << "chtread_sim: protocol=" << options.protocol
-            << " reads=" << options.reads << " n=" << options.n
-            << " delta=" << options.delta_ms << "ms seed=" << options.seed
-            << "\n";
+  std::cout << "chtread_sim: protocol=" << options.protocol;
+  if (!options.reads.empty()) std::cout << " reads=" << options.reads;
+  std::cout << " n=" << options.n << " delta=" << options.delta_ms
+            << "ms seed=" << options.seed << "\n";
 
   if (options.protocol == "core") {
     core::ConfigOverrides overrides;
@@ -261,11 +265,6 @@ int main(int argc, char** argv) {
                                       : raft::ReadMode::kReadIndex);
     return drive(cluster, options);
   }
-  if (options.protocol == "vr") {
-    harness::StackCluster<vr::VrReplica> cluster(cluster_config(options),
-                                                 model);
-    return drive(cluster, options);
-  }
-  std::cerr << "unknown protocol: " << options.protocol << "\n";
-  return 2;
+  harness::StackCluster<vr::VrReplica> cluster(cluster_config(options), model);
+  return drive(cluster, options);
 }
