@@ -9,12 +9,15 @@
 // (e.g. --benchmark_filter=...).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checker/linearizability.h"
 #include "common/experiment.h"
+#include "common/rng.h"
 #include "core/messages.h"
 #include "harness/stack_cluster.h"
 #include "object/kv_object.h"
@@ -189,6 +192,55 @@ void BM_CheckerConcurrentWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckerConcurrentWindow)->Arg(4)->Arg(8)->Arg(12);
+
+void BM_CheckerKvWithSize(benchmark::State& state) {
+  // Checker cost on a write-burst-shaped kv history: 80 ops invoked 1-5 ms
+  // apart and open 10-40 ms each (about nine at once), over four
+  // geometrically skewed keys, 90% writes with unique values. One size() in
+  // the middle has no partition label, so the per-key split is off and the
+  // whole history is searched over the full map. Each op takes effect at a
+  // seeded instant inside its interval, so the history is linearizable.
+  object::KVObject model;
+  Rng rng(2);
+  std::vector<checker::HistoryOp> history;
+  std::vector<std::pair<std::int64_t, std::size_t>> effect;  // (instant, op)
+  std::int64_t t = 0;
+  for (int i = 0; i < 80; ++i) {
+    t += rng.next_in(1000, 5000);
+    int k = 0;
+    while (k < 3 && !rng.next_bool(0.5)) ++k;
+    const std::string key = "k" + std::to_string(k);
+    const std::string value = "v" + std::to_string(i);
+    checker::HistoryOp op;
+    op.process = ProcessId(i % 9);
+    if (i == 40) {
+      op.op = object::KVObject::size();
+    } else if (rng.next_bool(0.1)) {
+      op.op = object::KVObject::get(key);
+    } else {
+      const double kind = rng.next_double();
+      op.op = kind < 0.7    ? object::KVObject::put(key, value)
+              : kind < 0.85 ? object::KVObject::del(key)
+                            : object::KVObject::cas(
+                                  key, "v" + std::to_string(i - 9), value);
+    }
+    const std::int64_t end = t + rng.next_in(10000, 40000);
+    op.invoked = RealTime::micros(t);
+    op.responded = RealTime::micros(end);
+    effect.emplace_back(rng.next_in(t, end), history.size());
+    history.push_back(op);
+  }
+  std::sort(effect.begin(), effect.end());
+  auto replay = model.make_initial_state();
+  for (const auto& [instant, index] : effect) {
+    history[index].response = model.apply(*replay, history[index].op);
+  }
+  for (auto _ : state) {
+    auto result = checker::check_linearizable(model, history);
+    benchmark::DoNotOptimize(result.linearizable);
+  }
+}
+BENCHMARK(BM_CheckerKvWithSize);
 
 // Collects per-benchmark runs into the shared ExperimentResult (table rows +
 // named metrics); console rendering is left to the builder's table printer.

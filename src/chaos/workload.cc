@@ -8,6 +8,17 @@
 #include "object/queue_object.h"
 
 namespace cht::chaos {
+namespace {
+
+// "<prefix><n>". Appending, rather than `prefix + std::to_string(n)`, keeps
+// gcc 12 at -O3 from a false -Wrestrict inside std::string::insert.
+std::string numbered(char prefix, std::int64_t n) {
+  std::string out(1, prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+}  // namespace
 
 WorkloadGen::WorkloadGen(const RunSpec& spec, std::uint64_t seed)
     : object_(spec.object),
@@ -24,12 +35,12 @@ std::string WorkloadGen::pick_key() {
   } else {
     while (k < keys_ - 1 && !rng_.next_bool(key_skew_)) ++k;
   }
-  return "k" + std::to_string(k);
+  return numbered('k', k);
 }
 
 object::Operation WorkloadGen::next() {
   const bool read = rng_.next_bool(read_fraction_);
-  const std::string value = "v" + std::to_string(seq_++);
+  const std::string value = numbered('v', seq_++);
   if (object_ == "kv") {
     if (read) {
       return rng_.next_bool(0.9) ? object::KVObject::get(pick_key())
@@ -58,7 +69,7 @@ object::Operation WorkloadGen::next() {
     }
     const std::string from = pick_key();
     std::string to = pick_key();
-    if (to == from) to = "k" + std::to_string((keys_ - 1));
+    if (to == from) to = numbered('k', keys_ - 1);
     return object::BankObject::transfer(from, to, rng_.next_in(1, 30));
   }
   if (object_ == "queue") {
@@ -70,7 +81,7 @@ object::Operation WorkloadGen::next() {
                                : object::QueueObject::dequeue();
   }
   if (object_ == "lock") {
-    const std::string who = "c" + std::to_string(rng_.next_in(0, 3));
+    const std::string who = numbered('c', rng_.next_in(0, 3));
     if (read) return object::LockObject::holder();
     return rng_.next_bool(0.6) ? object::LockObject::try_acquire(who)
                                : object::LockObject::release(who);

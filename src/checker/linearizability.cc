@@ -1,10 +1,12 @@
 #include "checker/linearizability.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/assert.h"
@@ -12,16 +14,82 @@
 namespace cht::checker {
 namespace {
 
+// The search's memo: a set of variable-length keys of 64-bit words, stored
+// back to back in one arena behind an open-addressing table of entry
+// indices. A probe compares the full key whenever the hashes match, so two
+// keys that collide in hash stay distinct states; trusting the hash alone
+// would prune an unexplored state and could turn into a false "not
+// linearizable".
+class FlatMemo {
+ public:
+  // Inserts `key`; false if an equal key is already present.
+  bool insert(const std::vector<std::uint64_t>& key) {
+    if (2 * (hashes_.size() + 1) > slots_.size()) grow();
+    const std::uint64_t hash = hash_of(key);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = hash & mask;
+    for (; slots_[slot] != 0; slot = (slot + 1) & mask) {
+      const std::size_t entry = slots_[slot] - 1;
+      if (hashes_[entry] == hash && equals(entry, key)) return false;
+    }
+    slots_[slot] = static_cast<std::uint32_t>(hashes_.size() + 1);
+    hashes_.push_back(hash);
+    words_.insert(words_.end(), key.begin(), key.end());
+    ends_.push_back(words_.size());
+    return true;
+  }
+
+  std::size_t size() const { return hashes_.size(); }
+
+ private:
+  static std::uint64_t hash_of(const std::vector<std::uint64_t>& key) {
+    std::uint64_t h = key.size();
+    for (const std::uint64_t word : key) {
+      h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  bool equals(std::size_t entry, const std::vector<std::uint64_t>& key) const {
+    const std::size_t begin = entry == 0 ? 0 : ends_[entry - 1];
+    return ends_[entry] - begin == key.size() &&
+           std::equal(key.begin(), key.end(), words_.begin() + begin);
+  }
+
+  void grow() {
+    CHT_ASSERT(hashes_.size() < std::numeric_limits<std::uint32_t>::max() / 2,
+               "memo too large for 32-bit slots");
+    std::vector<std::uint32_t> slots(
+        std::max<std::size_t>(64, 2 * slots_.size()));
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t entry = 0; entry < hashes_.size(); ++entry) {
+      std::size_t slot = hashes_[entry] & mask;
+      while (slots[slot] != 0) slot = (slot + 1) & mask;
+      slots[slot] = static_cast<std::uint32_t>(entry + 1);
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::vector<std::uint64_t> words_;   // every key, back to back
+  std::vector<std::size_t> ends_;      // end of each entry's key in words_
+  std::vector<std::uint64_t> hashes_;  // each entry's hash
+  std::vector<std::uint32_t> slots_;   // entry index + 1; 0 = empty
+};
+
 class Search {
  public:
   Search(const object::ObjectModel& model, std::vector<HistoryOp> history,
          std::size_t max_states)
       : model_(model), history_(std::move(history)), max_states_(max_states) {
+    CHT_ASSERT(history_.size() < (std::size_t{1} << 32),
+               "history too long for 32-bit op indices");
     std::stable_sort(history_.begin(), history_.end(),
                      [](const HistoryOp& a, const HistoryOp& b) {
                        return a.invoked < b.invoked;
                      });
-    linearized_.assign(history_.size(), false);
+    // One spare word, so reading 64 bits from any index stays in bounds.
+    linearized_.assign(history_.size() / 64 + 2, 0);
     completed_remaining_ = 0;
     for (const auto& op : history_) {
       if (op.completed()) ++completed_remaining_;
@@ -32,7 +100,7 @@ class Search {
 
   LinearizabilityResult run() {
     LinearizabilityResult result;
-    if (dfs(model_.make_initial_state())) {
+    if (dfs(intern(model_.make_initial_state()))) {
       result.linearizable = true;
       result.order = order_;
     } else if (budget_exhausted_) {
@@ -60,31 +128,65 @@ class Search {
   }
 
  private:
-  // Encodes (linearized-beyond-base set, object state) for memoization.
-  std::string memo_key(const object::ObjectState& state,
-                       std::size_t base) const {
-    std::string key = std::to_string(base);
-    key += '|';
-    for (std::size_t i = base; i < history_.size(); ++i) {
-      if (linearized_[i]) {
-        key += std::to_string(i);
-        key += ',';
-      }
-      // Operations far beyond any linearized index cannot have been touched.
-      if (!linearized_[i] && i > last_linearized_ && i > base) break;
-    }
-    key += '|';
-    key += state.fingerprint();
-    return key;
+  using StateId = std::uint32_t;
+  static constexpr StateId kNoState = static_cast<StateId>(-1);
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  bool linearized(std::size_t i) const {
+    return (linearized_[i / 64] >> (i % 64)) & 1;
+  }
+  // place() sets the bit and unplace() clears it: each flips it.
+  void flip_linearized(std::size_t i) {
+    linearized_[i / 64] ^= std::uint64_t{1} << (i % 64);
   }
 
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  // The id of the state with `state`'s fingerprint, keeping `state` as that
+  // id's representative if the fingerprint is new.
+  StateId intern(std::unique_ptr<object::ObjectState> state) {
+    const auto [it, inserted] = state_ids_.try_emplace(
+        state->fingerprint(), static_cast<StateId>(states_.size()));
+    if (inserted) states_.push_back(std::move(state));
+    return it->second;
+  }
+
+  // The state after history_[i] runs in state `from`, or kNoState if the
+  // response the model gives there is not the recorded one. The model runs
+  // once per distinct (state, op) pair.
+  StateId transition(StateId from, std::size_t i) {
+    const auto [it, inserted] =
+        transitions_.try_emplace((std::uint64_t{from} << 32) | i, kNoState);
+    if (!inserted) return it->second;
+    const HistoryOp& op = history_[i];
+    std::unique_ptr<object::ObjectState> next = states_[from]->clone();
+    const object::Response got = model_.apply(*next, op.op);
+    if (!op.completed() || got == *op.response) {
+      it->second = intern(std::move(next));
+    }
+    return it->second;
+  }
+
+  // The memo key of search state (state, base): the state's id, `base`, and
+  // the linearized set beyond `base` as a bitset (nothing beyond
+  // last_linearized_ is linearized; trailing zero words are dropped, so
+  // equal sets give equal keys). Equal keys <=> equal fingerprints, bases
+  // and linearized sets.
+  const std::vector<std::uint64_t>& memo_key(StateId state, std::size_t base) {
+    key_.assign(1, (std::uint64_t{state} << 32) | base);
+    for (std::size_t pos = base; pos <= last_linearized_; pos += 64) {
+      const std::size_t shift = pos % 64;
+      std::uint64_t bits = linearized_[pos / 64] >> shift;
+      if (shift != 0) bits |= linearized_[pos / 64 + 1] << (64 - shift);
+      key_.push_back(bits);
+    }
+    while (key_.size() > 1 && key_.back() == 0) key_.pop_back();
+    return key_;
+  }
 
   // One level of the depth-first search: a search state, and how far its
   // candidate scan has got. The search keeps these on an explicit stack, so
   // a long history cannot overflow the call stack.
   struct Frame {
-    std::unique_ptr<object::ObjectState> state;
+    StateId state = kNoState;
     std::size_t base = 0;
     RealTime min_response;
     int pass = 0;                 // 0: completed candidates, 1: pending ones
@@ -96,10 +198,9 @@ class Search {
 
   // Enters the search state (state, base): either decides it at once or
   // pushes its frame.
-  Entry enter(std::unique_ptr<object::ObjectState> state, std::size_t base,
-              std::vector<Frame>& stack) {
+  Entry enter(StateId state, std::size_t base, std::vector<Frame>& stack) {
     if (budget_exhausted_) return Entry::kDeadEnd;
-    while (base < history_.size() && linearized_[base]) ++base;
+    while (base < history_.size() && linearized(base)) ++base;
     if (completed_remaining_ == 0) return Entry::kFound;  // all placed
 
     if (completed_total_ - completed_remaining_ > best_progress_) {
@@ -107,7 +208,7 @@ class Search {
       stuck_example_ = history_.size();
     }
 
-    if (!memo_.insert(memo_key(*state, base)).second) return Entry::kDeadEnd;
+    if (!memo_.insert(memo_key(state, base))) return Entry::kDeadEnd;
     if (max_states_ != 0 && memo_.size() >= max_states_) {
       budget_exhausted_ = true;
       return Entry::kDeadEnd;
@@ -117,7 +218,7 @@ class Search {
     // linearized next: anything invoked after that response must come later.
     RealTime min_response = RealTime::max();
     for (std::size_t i = base; i < history_.size(); ++i) {
-      if (linearized_[i]) continue;
+      if (linearized(i)) continue;
       if (history_[i].completed()) {
         min_response = std::min(min_response, *history_[i].responded);
       }
@@ -125,7 +226,7 @@ class Search {
       // that matters for candidacy; stop once invocations pass it.
       if (history_[i].invoked > min_response) break;
     }
-    stack.push_back(Frame{std::move(state), base, min_response, /*pass=*/0,
+    stack.push_back(Frame{state, base, min_response, /*pass=*/0,
                           /*next=*/base});
     return Entry::kOpened;
   }
@@ -139,20 +240,17 @@ class Search {
   // search exponential in their number. Completed-first finds witnesses of
   // linearizable histories quickly; completeness is unaffected (both passes
   // together cover every candidate).
-  std::size_t next_candidate(Frame& frame,
-                             std::unique_ptr<object::ObjectState>& next_state) {
+  std::size_t next_candidate(Frame& frame, StateId& next_state) {
     for (; frame.pass < 2; ++frame.pass, frame.next = frame.base) {
       const bool pending_pass = frame.pass == 1;
       for (; frame.next < history_.size(); ++frame.next) {
         const std::size_t i = frame.next;
-        if (linearized_[i]) continue;
+        if (linearized(i)) continue;
         if (history_[i].invoked > frame.min_response) break;  // by invocation
-        const HistoryOp& op = history_[i];
-        if (op.completed() == pending_pass) continue;
+        if (history_[i].completed() == pending_pass) continue;
 
-        next_state = frame.state->clone();
-        const object::Response got = model_.apply(*next_state, op.op);
-        if (op.completed() && got != *op.response) {
+        next_state = transition(frame.state, i);
+        if (next_state == kNoState) {
           if (stuck_example_ == history_.size()) stuck_example_ = i;
           continue;  // response mismatch: cannot take effect here
         }
@@ -164,7 +262,7 @@ class Search {
   }
 
   void place(Frame& frame, std::size_t i) {
-    linearized_[i] = true;
+    flip_linearized(i);
     frame.placed = i;
     frame.saved_last = last_linearized_;
     last_linearized_ = std::max(last_linearized_, i);
@@ -177,19 +275,19 @@ class Search {
     order_.pop_back();
     if (history_[i].completed()) ++completed_remaining_;
     last_linearized_ = frame.saved_last;
-    linearized_[i] = false;
+    flip_linearized(i);
     frame.placed = kNone;
   }
 
   // Depth-first search for a linearization, from the initial state.
-  bool dfs(std::unique_ptr<object::ObjectState> initial) {
+  bool dfs(StateId initial) {
     std::vector<Frame> stack;
     stack.reserve(history_.size() + 1);  // one frame per placed op, at most
-    if (enter(std::move(initial), 0, stack) == Entry::kFound) return true;
+    if (enter(initial, 0, stack) == Entry::kFound) return true;
     while (!stack.empty()) {
       Frame& frame = stack.back();
       if (frame.placed != kNone) unplace(frame);  // its subtree failed
-      std::unique_ptr<object::ObjectState> next_state;
+      StateId next_state = kNoState;
       const std::size_t i = next_candidate(frame, next_state);
       if (i == kNone) {
         stack.pop_back();  // every candidate failed
@@ -197,24 +295,29 @@ class Search {
       }
       place(frame, i);
       const std::size_t base = frame.base;
-      if (enter(std::move(next_state), base, stack) == Entry::kFound) {
-        return true;
-      }
+      if (enter(next_state, base, stack) == Entry::kFound) return true;
     }
     return false;
   }
 
   const object::ObjectModel& model_;
   std::vector<HistoryOp> history_;
-  std::vector<bool> linearized_;
+  std::vector<std::uint64_t> linearized_;  // bitset over history_ indices
   std::size_t completed_remaining_ = 0;
   std::size_t completed_total_ = 0;
   std::size_t last_linearized_ = 0;
   std::vector<std::size_t> order_;
-  // Hash set is safe here: the search only does insert()/size() — the
-  // verdict and the budget cut depend on how many distinct states were
-  // memoized, never on the order they would enumerate in.
-  std::unordered_set<std::string> memo_;  // detlint: order-independent (insert/size only; never iterated)
+  // Every distinct state the search reached, indexed by StateId, and the id
+  // of each fingerprint. Lookup only: ids are handed out in the order the
+  // search reaches the states, never in the map's order.
+  std::vector<std::unique_ptr<object::ObjectState>> states_;
+  std::unordered_map<std::string, StateId> state_ids_;  // detlint: order-independent (find/insert by fingerprint only; never iterated)
+  // (state id << 32 | op index) -> the transition's result.
+  std::unordered_map<std::uint64_t, StateId> transitions_;  // detlint: order-independent (find/insert by key only; never iterated)
+  // The verdict and the budget cut depend only on which keys are present
+  // and how many, never on the table's layout.
+  FlatMemo memo_;
+  std::vector<std::uint64_t> key_;  // memo_key's buffer
   std::size_t max_states_ = 0;
   bool budget_exhausted_ = false;
   std::size_t best_progress_ = 0;

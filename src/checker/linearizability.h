@@ -12,6 +12,24 @@
 // (frontier, state) configurations. With the bounded concurrency of our
 // workloads this is fast for histories of tens of thousands of operations;
 // it is exponential in the worst case (the problem is NP-complete).
+//
+// How a search holds its states:
+// - Interned states. The search keeps one owned ObjectState per distinct
+//   fingerprint() and names it by a 32-bit id; search frames hold ids. This
+//   relies on the ObjectState contract (equal states <=> equal
+//   fingerprints), which the memo has always relied on.
+// - Transition cache. (state id, op index) maps to the id of the state after
+//   the op, or to "response mismatch". The model clones and applies once
+//   per distinct pair, however often the search tries that op there.
+// - Memo key. (state id, base, bitset of the linearized ops in
+//   [base, last linearized]), where `base` is the first op not yet
+//   linearized. It is the same equivalence as (base, linearized set,
+//   fingerprint), so the search visits the same states in the same order.
+// - Flat memo. The keys sit back to back in one arena behind an
+//   open-addressing table. A lookup compares the full key whenever the
+//   hashes match: if two distinct keys shared a hash and the memo trusted
+//   it, an unexplored state would count as visited, and a linearizable
+//   history could be reported as "no linearization".
 #pragma once
 
 #include <string>
@@ -35,7 +53,7 @@ struct LinearizabilityResult {
 };
 
 // `max_states` bounds the number of distinct memoized search states explored
-// (0 = unlimited). The bound is a safety valve for adversarial histories
+// (0 = unlimited): the search gives up when the memo holds that many keys. The bound is a safety valve for adversarial histories
 // with huge concurrency windows (the problem is NP-complete); when it trips,
 // the result has decided == false.
 LinearizabilityResult check_linearizable(const object::ObjectModel& model,

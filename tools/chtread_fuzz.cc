@@ -105,10 +105,10 @@ Options parse(int argc, char** argv) {
       cli::usage_error("unknown flag: " + arg);
     }
   }
-  // Validate names and sizes up front so a typo gets a usage error, not an
-  // assert or a hang deep inside a run (--n=0 trips Rng::next_below,
-  // --delta-ms=0 never finishes), and a vacuous --seeds=0 sweep cannot
-  // report "all runs passed".
+  // Validate names, sizes and probabilities up front so a typo gets a usage
+  // error, not an assert or a hang deep inside a run (--n=0 trips
+  // Rng::next_below, --delta-ms=0 never finishes), and a vacuous --seeds=0
+  // sweep or a --loss=2 run cannot report "all runs passed".
   const auto check_name = [](const std::string& flag, const std::string& value,
                              std::vector<std::string> known) {
     known.push_back("all");
@@ -123,6 +123,11 @@ Options parse(int argc, char** argv) {
     cli::require_at_least("max-inflight", base.max_inflight, 1);
     cli::require_at_least("delta-ms", base.delta_ms, 1);
     cli::require_at_least("epsilon-ms", base.epsilon_ms, 0);
+    cli::require_at_least("ops", base.ops, 1);
+    cli::require_in_range("read-fraction", base.read_fraction, 0, 1);
+    cli::require_in_range("key-skew", base.key_skew, 0, 1);
+    cli::require_in_range("loss", base.pre_gst_loss, 0, 1);
+    cli::require_in_range("key-loss", base.unsynced_key_loss, 0, 1);
     // An empty --artifact-dir means "write none"; any other value must name
     // a directory, or every failing seed would silently lose its artifact.
     if (!options.artifact_dir.empty() &&

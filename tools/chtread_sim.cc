@@ -105,6 +105,8 @@ Options parse(int argc, char** argv) {
   cli::require_at_least("n", options.n, 1);
   cli::require_at_least("delta-ms", options.delta_ms, 1);
   cli::require_at_least("epsilon-ms", options.epsilon_ms, 0);
+  cli::require_at_least("ops", options.ops, 1);
+  cli::require_in_range("loss", options.loss, 0, 1);
   return options;
 }
 

@@ -34,6 +34,18 @@ expect_usage_error("${FUZZ}" --epsilon-ms=-1)
 expect_usage_error("${SIM}" --n=0)
 expect_usage_error("${SIM}" --delta-ms=0)
 expect_usage_error("${SIM}" --epsilon-ms=-1)
+expect_usage_error("${FUZZ}" --ops=0)
+expect_usage_error("${SIM}" --ops=0)
+expect_usage_error("${SIM}" --ops=-3)
+# Probabilities outside [0, 1].
+expect_usage_error("${FUZZ}" --loss=2)
+expect_usage_error("${FUZZ}" --loss=-0.1)
+expect_usage_error("${FUZZ}" --key-loss=1.5)
+expect_usage_error("${FUZZ}" --read-fraction=-1)
+expect_usage_error("${FUZZ}" --key-skew=1.01)
+expect_usage_error("${FUZZ}" --read-fraction=nan)
+expect_usage_error("${SIM}" --loss=2)
+expect_usage_error("${SIM}" --loss=-0.5)
 # An artifact directory that does not exist, or is a file.
 expect_usage_error("${FUZZ}" "--artifact-dir=${WORK_DIR}/no_such_dir")
 expect_usage_error("${FUZZ}" "--artifact-dir=${garbled}")

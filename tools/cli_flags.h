@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,16 @@ inline void require_at_least(const std::string& flag, std::int64_t value,
   if (value >= min) return;
   usage_error("--" + flag + " must be >= " + std::to_string(min) + " (got " +
               std::to_string(value) + ")");
+}
+
+// Exits 2 unless `lo <= value <= hi` (a NaN is never in range).
+inline void require_in_range(const std::string& flag, double value, double lo,
+                             double hi) {
+  if (value >= lo && value <= hi) return;
+  std::ostringstream message;
+  message << "--" << flag << " must be in [" << lo << ", " << hi << "] (got "
+          << value << ")";
+  usage_error(message.str());
 }
 
 // Exits 2 unless `value` is one of `known`, listing them.
